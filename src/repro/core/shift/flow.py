@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.shift.grids import DensityGrid, GridSpec
 
 
@@ -163,42 +164,22 @@ def _connected_blobs(
     mask: np.ndarray, weights: np.ndarray, spec: GridSpec, max_blobs: int
 ) -> list[tuple[float, float, float]]:
     """Connected components of ``mask`` as ``(lon, lat, mass)`` centroids,
-    heaviest first (4-connectivity, iterative flood fill)."""
-    ny, nx = mask.shape
-    labels = np.full(mask.shape, -1, dtype=np.int64)
-    blobs: list[tuple[float, float, float]] = []
-    lons = spec.lon_centers()
-    lats = spec.lat_centers()
-    next_label = 0
-    for start_row in range(ny):
-        for start_col in range(nx):
-            if not mask[start_row, start_col] or labels[start_row, start_col] >= 0:
-                continue
-            stack = [(start_row, start_col)]
-            labels[start_row, start_col] = next_label
-            cells: list[tuple[int, int]] = []
-            while stack:
-                r, c = stack.pop()
-                cells.append((r, c))
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if (
-                        0 <= rr < ny
-                        and 0 <= cc < nx
-                        and mask[rr, cc]
-                        and labels[rr, cc] < 0
-                    ):
-                        labels[rr, cc] = next_label
-                        stack.append((rr, cc))
-            w = np.array([weights[r, c] for r, c in cells])
-            mass = float(w.sum())
-            if mass <= 0:
-                continue
-            lon = float(sum(lons[c] * wi for (_, c), wi in zip(cells, w)) / mass)
-            lat = float(sum(lats[r] * wi for (r, _), wi in zip(cells, w)) / mass)
-            blobs.append((lon, lat, mass))
-            next_label += 1
-    blobs.sort(key=lambda b: b[2], reverse=True)
-    return blobs[:max_blobs]
+    heaviest first, equal masses in raster order of each blob's first
+    cell (4-connectivity; ``weights`` must be positive on ``mask``)."""
+    # Imported here: scipy.ndimage takes ~0.4 s to import, which would
+    # otherwise land on every process's startup path.
+    from scipy import ndimage
+
+    labels, n_blobs = ndimage.label(mask)
+    cells = np.flatnonzero(labels)
+    rows, cols = np.divmod(cells, mask.shape[1])
+    blob = labels.ravel()[cells] - 1
+    w = weights.ravel()[cells]
+    mass = np.bincount(blob, w, n_blobs)
+    lon = np.bincount(blob, w * spec.lon_centers()[cols], n_blobs) / mass
+    lat = np.bincount(blob, w * spec.lat_centers()[rows], n_blobs) / mass
+    order = np.argsort(-mass, kind="stable")[:max_blobs]
+    return list(zip(lon[order].tolist(), lat[order].tolist(), mass[order].tolist()))
 
 
 def major_flows(
@@ -224,44 +205,46 @@ def major_flows(
         raise ValueError(
             f"threshold_quantile must be in [0, 1), got {threshold_quantile}"
         )
-    magnitude = np.abs(field.values)
-    nonzero = magnitude[magnitude > 0]
-    if nonzero.size == 0:
-        return []
-    threshold = float(np.quantile(nonzero, threshold_quantile))
-    gain_mask = field.values > threshold
-    loss_mask = field.values < -threshold
-    gains = _connected_blobs(gain_mask, np.abs(field.values), field.spec, max_flows * 3)
-    losses = _connected_blobs(loss_mask, np.abs(field.values), field.spec, max_flows * 3)
-    if not gains or not losses:
-        return []
-    remaining_gain = [list(g) for g in gains]  # mutable copies
-    arrows: list[FlowArrow] = []
-    for lon_l, lat_l, mass_l in losses:
-        if len(arrows) >= max_flows:
-            break
-        # Nearest gain blob with remaining capacity.
-        best = None
-        best_d2 = np.inf
-        for blob in remaining_gain:
-            if blob[2] <= 0:
-                continue
-            d2 = (blob[0] - lon_l) ** 2 + (blob[1] - lat_l) ** 2
-            if d2 < best_d2:
-                best_d2 = d2
-                best = blob
-        if best is None:
-            break
-        carried = min(mass_l, best[2])
-        best[2] -= carried
-        arrows.append(
-            FlowArrow(
-                lon=lon_l,
-                lat=lat_l,
-                dlon=best[0] - lon_l,
-                dlat=best[1] - lat_l,
-                magnitude=carried,
+    with obs.span("kernel.flows", nx=field.spec.nx, ny=field.spec.ny), \
+            obs.get_registry().timer("kernel_runtime_seconds", kernel="flows"):
+        magnitude = np.abs(field.values)
+        nonzero = magnitude[magnitude > 0]
+        if nonzero.size == 0:
+            return []
+        threshold = float(np.quantile(nonzero, threshold_quantile))
+        gain_mask = field.values > threshold
+        loss_mask = field.values < -threshold
+        gains = _connected_blobs(gain_mask, magnitude, field.spec, max_flows * 3)
+        losses = _connected_blobs(loss_mask, magnitude, field.spec, max_flows * 3)
+        if not gains or not losses:
+            return []
+        remaining_gain = [list(g) for g in gains]  # mutable copies
+        arrows: list[FlowArrow] = []
+        for lon_l, lat_l, mass_l in losses:
+            if len(arrows) >= max_flows:
+                break
+            # Nearest gain blob with remaining capacity.
+            best = None
+            best_d2 = np.inf
+            for blob in remaining_gain:
+                if blob[2] <= 0:
+                    continue
+                d2 = (blob[0] - lon_l) ** 2 + (blob[1] - lat_l) ** 2
+                if d2 < best_d2:
+                    best_d2 = d2
+                    best = blob
+            if best is None:
+                break
+            carried = min(mass_l, best[2])
+            best[2] -= carried
+            arrows.append(
+                FlowArrow(
+                    lon=lon_l,
+                    lat=lat_l,
+                    dlon=best[0] - lon_l,
+                    dlat=best[1] - lat_l,
+                    magnitude=carried,
+                )
             )
-        )
-    arrows.sort(key=lambda a: a.magnitude, reverse=True)
-    return arrows
+        arrows.sort(key=lambda a: a.magnitude, reverse=True)
+        return arrows

@@ -277,14 +277,24 @@ class EnergyDatabase:
         customer_ids: Sequence[int] | None = None,
         window: HourWindow | None = None,
     ) -> SeriesSet:
-        """Readings sliced to a customer subset and/or an hour window."""
+        """Readings sliced to a customer subset and/or an hour window
+        (clipped to the data span): a copy of exactly that block, gathered
+        in one indexing step.  Unknown ids raise ``KeyError``."""
         with self._timed("readings"):
-            out = self.readings
-            if customer_ids is not None:
-                out = out.select_customers([int(cid) for cid in customer_ids])
+            readings = self.readings
+            lo, hi = readings.start_hour, readings.end_hour
             if window is not None:
-                out = out.slice_hours(window.start_hour, window.end_hour)
-            return out
+                lo = max(window.start_hour, lo)
+                hi = max(lo, min(window.end_hour, hi))
+            cols = slice(lo - readings.start_hour, hi - readings.start_hour)
+            if customer_ids is None:
+                ids = readings.customer_ids.copy()
+                block = readings.matrix[:, cols].copy()
+            else:
+                ids = [int(cid) for cid in customer_ids]
+                rows = [readings.row_index(cid) for cid in ids]
+                block = readings.matrix[rows, cols]
+            return SeriesSet(customer_ids=ids, start_hour=lo, matrix=block)
 
     def demand(
         self,
@@ -308,11 +318,9 @@ class EnergyDatabase:
                 f"unknown statistic {statistic!r}; pick one of {DEMAND_STATISTICS}"
             )
         with self._timed("demand"), obs.span("db.demand", statistic=statistic):
-            if customer_ids is None:
-                customer_ids = [int(cid) for cid in self.readings.customer_ids]
             sliced = self.readings_for(customer_ids, window)
             matrix = sliced.matrix
-            values = np.zeros(len(customer_ids))
+            values = np.zeros(sliced.n_customers)
             if matrix.shape[1] > 0:
                 observed = ~np.isnan(matrix).all(axis=1)
                 with np.errstate(invalid="ignore"):
@@ -323,7 +331,7 @@ class EnergyDatabase:
                     else:  # max
                         stat = np.nanmax(matrix[observed], axis=1)
                 values[observed] = stat
-            return self.positions_of(customer_ids), values
+            return self.positions_of(sliced.customer_ids), values
 
     def top_consumers(
         self,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.timeseries import HourWindow
+from repro.data.timeseries import HourWindow, SeriesSet
 from repro.db.engine import EnergyDatabase
 from repro.db.query import Compare
 from repro.db.spatial import BBox, Circle, Point, Polygon
@@ -144,3 +144,72 @@ class TestTemporalQueries:
         )
         want = len(small_db.ids_in_zone("residential"))
         assert n == want
+
+
+@pytest.fixture(scope="module")
+def offset_db(small_city):
+    """A private database whose readings start at hour 100 with rows in
+    reverse id order, so neither column offsets nor row lookup are
+    trivial."""
+    raw = small_city.raw
+    readings = SeriesSet(
+        raw.customer_ids[::-1].tolist(), 100, raw.matrix[::-1].copy()
+    )
+    return EnergyDatabase(small_city.customers, readings)
+
+
+def _id_sets(db):
+    ids = db.customer_ids
+    return {
+        "unordered": [ids[7], ids[2], ids[30], ids[0]],
+        "single": [ids[5]],
+        "all": ids,
+        "none": None,
+    }
+
+
+WINDOWS = {
+    "inside": HourWindow(124, 172),
+    "clipped_start": HourWindow(40, 130),
+    "clipped_end": HourWindow(590, 700),
+    "covering": HourWindow(0, 10_000),
+    "empty": HourWindow(150, 150),
+    "beyond_end": HourWindow(700, 720),
+    "before_start": HourWindow(10, 20),
+    "none": None,
+}
+
+
+class TestReadingsForContract:
+    """One-step block gather == select_customers(...).slice_hours(...)."""
+
+    @pytest.mark.parametrize("id_set", ["unordered", "single", "all", "none"])
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_matches_select_then_slice(self, offset_db, id_set, window):
+        ids = _id_sets(offset_db)[id_set]
+        w = WINDOWS[window]
+        want = offset_db.readings
+        if ids is not None:
+            want = want.select_customers(ids)
+        if w is not None:
+            want = want.slice_hours(w.start_hour, w.end_hour)
+        got = offset_db.readings_for(ids, w)
+        assert got.customer_ids.tolist() == want.customer_ids.tolist()
+        assert got.start_hour == want.start_hour
+        assert got.matrix.shape == want.matrix.shape
+        assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
+        assert not np.shares_memory(got.matrix, offset_db.readings.matrix)
+
+    @pytest.mark.parametrize("id_set", ["single", "none"])
+    def test_mutating_result_leaves_store_unchanged(self, offset_db, id_set):
+        ids = _id_sets(offset_db)[id_set]
+        before = offset_db.readings.matrix.copy()
+        got = offset_db.readings_for(ids, HourWindow(124, 172))
+        got.matrix[:] = -1.0
+        got.customer_ids[:] = -1
+        assert np.array_equal(offset_db.readings.matrix, before, equal_nan=True)
+        assert (offset_db.readings.customer_ids >= 0).all()
+
+    def test_unknown_id_raises_key_error(self, offset_db):
+        with pytest.raises(KeyError):
+            offset_db.readings_for([offset_db.customer_ids[0], 10**9])

@@ -137,6 +137,9 @@ class TestApi:
         resp = client.get(f"/api/customers/{cid}/readings?start=10&end=2")
         assert resp.status == 400
 
+    def test_readings_unknown_customer_is_404(self, client):
+        assert client.get("/api/customers/99999/readings").status == 404
+
     def test_embedding_and_selection_round_trip(self, client):
         emb = client.get("/api/embedding?n_iter=200").json
         assert len(emb["points"]) == len(emb["customer_ids"])
