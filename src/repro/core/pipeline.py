@@ -336,9 +336,9 @@ class VapSession:
         or ``"landmark"`` for the out-of-core engine embedding
         ``n_landmarks`` representatives); every knob that changes the
         result is part of the cache key so variants never alias.
-        ``workers`` fans blockwise kernel stages out on the shared pool
-        (results are worker-count independent, but the knob stays in the
-        key because it is part of the request identity).
+        ``workers`` fans blockwise kernel stages out on the shared pool;
+        results are worker-count independent, so it is not part of the
+        key and requests differing only in ``workers`` share one run.
         ``dtw_max_rows`` lifts the DTW pairwise ceiling, capped at
         ``MAX_DTW_ROWS_CEILING``.
 
@@ -406,7 +406,7 @@ class VapSession:
         kind = feature_kind or self.feature_kind
         key = (
             method, metric, kind, perplexity, n_iter, seed, tsne_method,
-            theta, workers, n_landmarks, dtw_max_rows,
+            theta, n_landmarks, dtw_max_rows,
         )
 
         def compute() -> EmbeddingInfo:

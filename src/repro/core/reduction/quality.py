@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reduction.distances import validate_distance_matrix
-from repro.core.reduction.tsne import _q_matrix, joint_probabilities
+from repro.core.reduction.tsne import _exact_kl, joint_probabilities
 
 
 def _knn_sets(dist: np.ndarray, k: int) -> np.ndarray:
@@ -136,9 +136,7 @@ def kl_divergence_embedding(
     n = dist.shape[0]
     perplexity = float(min(perplexity, max(2.0, (n - 1) / 3.0)))
     p = joint_probabilities(dist, perplexity)
-    q, _ = _q_matrix(np.asarray(embedding, dtype=np.float64))
-    mask = ~np.eye(n, dtype=bool)
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+    return _exact_kl(p, np.asarray(embedding, dtype=np.float64))
 
 
 def _embedding_dist(embedding: np.ndarray) -> np.ndarray:

@@ -64,7 +64,10 @@ TSNE_METHODS = ("auto", "exact", "bh", "landmark")
 
 # ``method="auto"`` switches to Barnes–Hut at this many points: below it
 # the dense gradient's vectorisation beats the tree overhead, above it
-# the O(n^2) inner loop dominates.
+# the O(n^2) inner loop dominates.  With the workspace gradient the
+# measured crossover (500 iterations, clustered 24-D data, 2-core VM) sits
+# between n = 1000 (exact 4.0 s vs Barnes–Hut 4.4 s) and n = 1250
+# (6.6 s vs 5.8 s).
 BH_THRESHOLD = 1000
 
 # ``method="landmark"`` never embeds more than this many points directly;
@@ -313,22 +316,77 @@ def joint_probabilities(
     return np.clip(joint, _P_MIN, None)
 
 
-def _q_matrix(embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t similarities Q (paper Eq. 2) and the unnormalised kernel."""
-    sq = (embedding**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embedding @ embedding.T)
-    np.clip(d2, 0.0, None, out=d2)
-    kernel = 1.0 / (1.0 + d2)
-    np.fill_diagonal(kernel, 0.0)
-    total = kernel.sum()
-    q = np.clip(kernel / max(total, _P_MIN), _P_MIN, None)
-    return q, kernel
+class _ExactWorkspace:
+    """Dense gradient and objective over buffers allocated once per run.
+
+    Holds two n x n float64 buffers — the Student-t kernel (paper Eq. 2)
+    and a scratch for the gradient coefficients or ``log q`` — plus small
+    augmented operands, so a descent step allocates no n x n temporaries.
+    One workspace per :func:`tsne` call, never shared: the server runs
+    concurrent embeds on its thread pool.
+    """
+
+    __slots__ = ("p", "p_log_p", "kernel", "scratch", "left", "right", "moments")
+
+    def __init__(self, p: np.ndarray, n_components: int) -> None:
+        n = p.shape[0]
+        self.p = p
+        self.kernel = np.empty((n, n))
+        self.scratch = np.empty((n, n))
+        # left = [y, 1, |y|²], right = [-2y, |y|² + 1, 1]: one GEMM gives
+        # 1 + d²_ij = |y_i|² + |y_j|² - 2 y_i·y_j + 1.  left[:, :d+1] is
+        # [y, 1], whose product with the coefficients yields coeff @ y and
+        # the row sums together.
+        self.left = np.empty((n, n_components + 2))
+        self.right = np.empty((n, n_components + 2))
+        self.moments = np.empty((n, n_components + 1))
+        # sum_{i != j} p log p, the y-independent half of Eq. 1.
+        np.log(p, out=self.scratch)
+        self.scratch.flat[:: n + 1] = 0.0
+        self.p_log_p = float(np.dot(p.ravel(), self.scratch.ravel()))
+
+    def _student_t(self, y: np.ndarray) -> float:
+        """Fill ``kernel`` with 1 / (1 + d²), zero diagonal; return its sum."""
+        d = y.shape[1]
+        left, right, kernel = self.left, self.right, self.kernel
+        sq = np.einsum("ij,ij->i", y, y)
+        left[:, :d] = y
+        left[:, d] = 1.0
+        left[:, d + 1] = sq
+        np.multiply(y, -2.0, out=right[:, :d])
+        np.add(sq, 1.0, out=right[:, d])
+        right[:, d + 1] = 1.0
+        np.matmul(left, right.T, out=kernel)
+        # The expanded d² can round below zero for (near-)coincident points.
+        np.maximum(kernel, 1.0, out=kernel)
+        np.reciprocal(kernel, out=kernel)
+        kernel.flat[:: kernel.shape[0] + 1] = 0.0
+        return max(float(kernel.sum()), _P_MIN)
+
+    def _q(self, y: np.ndarray) -> np.ndarray:
+        """Q = max(kernel / Z, _P_MIN) into ``scratch``."""
+        z = self._student_t(y)
+        np.divide(self.kernel, z, out=self.scratch)
+        return np.maximum(self.scratch, _P_MIN, out=self.scratch)
+
+    def gradient(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """4 * sum_j (p_ij - q_ij) * kernel_ij * (y_i - y_j)."""
+        d = y.shape[1]
+        coeff = np.subtract(p, self._q(y), out=self.scratch)
+        coeff *= self.kernel
+        np.matmul(coeff, self.left[:, : d + 1], out=self.moments)
+        return 4.0 * (self.moments[:, d:] * y - self.moments[:, :d])
+
+    def kl(self, y: np.ndarray) -> float:
+        """KL(P || Q), the paper's Eq. 1 (diagonal contributes nothing)."""
+        log_q = np.log(self._q(y), out=self.scratch)
+        log_q.flat[:: log_q.shape[0] + 1] = 0.0
+        return self.p_log_p - float(np.dot(self.p.ravel(), log_q.ravel()))
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(P || Q), the paper's Eq. 1 (diagonal contributes nothing)."""
-    mask = ~np.eye(p.shape[0], dtype=bool)
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+def _exact_kl(p: np.ndarray, embedding: np.ndarray) -> float:
+    """KL(P || Q) of any embedding against the dense joint P."""
+    return _ExactWorkspace(p, embedding.shape[1]).kl(embedding)
 
 
 def _sparse_joint(
@@ -786,28 +844,24 @@ def tsne(
                 return float((vals * np.log(vals / q)).sum())
 
         else:
+            workspace = _ExactWorkspace(p, n_components)
             exaggerated = p * early_exaggeration
 
             def grad_fn(y: np.ndarray, iteration: int) -> np.ndarray:
-                current_p = (
-                    exaggerated if iteration < exaggeration_iter else p
+                return workspace.gradient(
+                    y, exaggerated if iteration < exaggeration_iter else p
                 )
-                q, kernel = _q_matrix(y)
-                # Gradient: 4 * sum_j (p_ij - q_ij) * kernel_ij * (y_i - y_j)
-                coeff = (current_p - q) * kernel
-                return 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
 
-            def trace_fn(y: np.ndarray) -> float:
-                q, _ = _q_matrix(y)
-                return _kl(p, q)
+            trace_fn = workspace.kl
 
         y, kl_trace = _descend(
             grad_fn, y, n_iter, learning_rate, exaggeration_iter, trace_fn,
             checkpoint_every=checkpoint_every, checkpoint_fn=checkpoint_fn,
             resume_from=resume_from,
         )
-        q, _ = _q_matrix(y)
-        kl = _kl(p, q)
+        # Barnes–Hut runs score the final iterate densely too; their
+        # workspace exists only for this one evaluation.
+        kl = _exact_kl(p, y) if use_bh else workspace.kl(y)
     registry.counter("kernel_runs_total", kernel="tsne").inc()
     registry.counter("kernel_method_total", kernel="tsne", method=engine).inc()
     registry.histogram(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.bench.perf import _blob_features
+from repro.core.reduction.tsne import tsne
 from repro.server import TestClient, VapApp
 
 
@@ -14,14 +17,26 @@ def client(small_session, small_city):
 
 class TestWorkersParam:
     def test_worker_count_never_changes_the_answer(self, client):
-        serial = client.get(
-            "/api/embedding?n_iter=40&tsne_method=bh&workers=1"
-        ).json
-        forked = client.get(
-            "/api/embedding?n_iter=40&tsne_method=bh&workers=2"
-        ).json
-        # Different cache keys, so both computed — and bit-identical.
-        assert forked["points"] == serial["points"]
+        runs = obs.get_registry().counter("kernel_runs_total", kernel="tsne")
+        before = runs.value
+        url = "/api/embedding?n_iter=40&tsne_method=bh&seed=913&workers="
+        serial = client.get(url + "1")
+        forked = client.get(url + "2")
+        # Worker count is not in the cache key: one t-SNE run, one answer.
+        assert runs.value == before + 1
+        assert serial.ok and forked.body == serial.body
+
+    def test_kernel_result_is_worker_count_independent(self):
+        # Above one 2048-row block, so workers=2 really fans out.
+        feats = _blob_features(2100, seed=4)
+        pooled = obs.get_registry().counter(
+            "parallel_pool_runs_total", pool="perplexity", mode="fork"
+        )
+        before = pooled.value
+        serial = tsne(feats, n_iter=8, method="bh", workers=1)
+        forked = tsne(feats, n_iter=8, method="bh", workers=2)
+        assert pooled.value == before + 1
+        assert forked.embedding.tobytes() == serial.embedding.tobytes()
 
     def test_zero_workers_is_400(self, client):
         response = client.get("/api/embedding?workers=0")
