@@ -2,7 +2,7 @@
 
 The paper's demo stands or falls on interactivity; this bench measures how
 the expensive operations scale with customer count (reducers, KDE, the
-spatial indexes) and the latency of the hot REST endpoints.
+R-tree spatial index) and the latency of the hot REST endpoints.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from repro.core.reduction.tsne import tsne
 from repro.core.shift.grids import GridSpec
 from repro.core.shift.kde import kde_density
 from repro.data.generator.simulate import CityConfig, generate_city
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
 from repro.db.index.rtree import RTree
 from repro.db.spatial import BBox
 from repro.server import TestClient, VapApp
@@ -45,9 +43,7 @@ def test_perf_kde_scaling(benchmark, n):
     benchmark(kde_density, pts, demand, spec, 400.0)
 
 
-@pytest.mark.parametrize(
-    "cls", [GridIndex, QuadTree, RTree], ids=["grid", "quadtree", "rtree"]
-)
+@pytest.mark.parametrize("cls", [RTree], ids=["rtree"])
 def test_perf_index_query(benchmark, cls):
     rng = np.random.default_rng(4)
     n = 20_000

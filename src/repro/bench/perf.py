@@ -318,7 +318,7 @@ def bench_rollup(
     )
     from repro.data.generator.simulate import CityConfig, generate_city
     from repro.data.timeseries import Resolution
-    from repro.db import build_database
+    from repro.db import EnergyDatabase
     from repro.rollup.store import RollupStore
 
     runs = []
@@ -330,7 +330,7 @@ def bench_rollup(
                 seed=seed,
             )
         )
-        db = build_database(city.customers, city.raw)
+        db = EnergyDatabase(city.customers, city.raw)
         ids = [int(cid) for cid in db.readings.customer_ids]
         spec = GridSpec.covering(db.positions_of(ids))
         store = RollupStore(db.positions_of(ids), ids, spec)

@@ -182,19 +182,23 @@ class VapSession:
         """Build a session from a generated
         :class:`~repro.data.generator.simulate.CityDataset`.
 
-        ``shards`` picks the data plane: ``None`` consults the
-        ``REPRO_SHARDS`` environment variable (CI runs the whole suite
-        with it set to 4), ``<= 1`` keeps the single-lock engine, and
-        ``> 1`` builds a hash-partitioned
-        :class:`~repro.db.sharding.ShardedEnergyDatabase` with parallel
-        scatter-gather queries.
+        Raises
+        ------
+        ValueError
+            If ``shards`` is anything but ``None``.
         """
-        from repro.db import build_database
-
+        # Hash sharding was removed: 4 shards never beat one database on
+        # the end-to-end benchmark and cost up to 56% more memory.  The
+        # parameter stays only because the benchmark harness passes
+        # ``shards=None``.
+        if shards is not None:
+            raise ValueError(
+                f"shards={shards!r}: sharding was removed; every session "
+                "runs on one EnergyDatabase"
+            )
         readings = dataset.raw if use_raw else dataset.clean
-        db = build_database(
-            dataset.customers, readings, shards=shards,
-            metrics=kwargs.get("metrics"),
+        db = EnergyDatabase(
+            dataset.customers, readings, metrics=kwargs.get("metrics")
         )
         return cls(db, **kwargs)
 
@@ -741,9 +745,8 @@ class VapSession:
         """The session's materialized rollup store, built lazily.
 
         The store covers every customer on the session grid and is
-        rebuilt from the database on first use (scattering per shard
-        when the data plane supports it).  ``rebuild`` forces a fresh
-        rebuild — the CLI's ``rollup rebuild`` path.
+        rebuilt from the database on first use.  ``rebuild`` forces a
+        fresh rebuild — the CLI's ``rollup rebuild`` path.
         """
         with self._rollups_lock:
             store = self._rollups

@@ -7,9 +7,8 @@ O(n log n): far-away groups of points are summarised by their centre of
 mass, and "far away" is judged against the group's cell size — a cell of
 side ``s`` at distance ``d`` is summarised whenever ``s / d < theta``.
 
-This module adapts the point-quadtree idea already used by the spatial
-index (:mod:`repro.db.index.quadtree`) to the embedding space, with two
-differences driven by the hot loop it serves:
+This module builds a point quadtree over the embedding space, with two
+choices driven by the hot loop it serves:
 
 - the tree is rebuilt every gradient step (the embedding moves), so it is
   a flat bundle of index arrays rather than a persistent node-object

@@ -6,7 +6,7 @@ the role PostgreSQL/PostGIS plays in the paper.  It owns
 - a typed customers table (id, lon, lat, zone, archetype) queryable through
   :mod:`repro.db.query`,
 - the dense hourly readings (:class:`~repro.data.timeseries.SeriesSet`),
-- a spatial index over customer positions (grid, quadtree or R-tree),
+- an STR R-tree over customer positions,
 
 and answers the composed spatio-temporal requests the logic layer issues:
 "customers in this polygon", "their readings for this window", "per-customer
@@ -24,14 +24,10 @@ import numpy as np
 from repro import obs
 from repro.data.meter import Customer
 from repro.data.timeseries import HourWindow, SeriesSet
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
 from repro.db.index.rtree import RTree
 from repro.db.query import Query
 from repro.db.spatial import BBox, Circle, Polygon
 from repro.db.table import ColumnSpec, Schema, Table
-
-INDEX_KINDS = ("grid", "quadtree", "rtree")
 
 CUSTOMER_SCHEMA = Schema(
     [
@@ -55,8 +51,6 @@ class EnergyDatabase:
         Customer rows; ids must be unique.
     readings:
         Hourly readings whose customer ids exactly match ``customers``.
-    index_kind:
-        Spatial index implementation, one of :data:`INDEX_KINDS`.
     metrics:
         Registry receiving ``db_query_seconds`` histograms (one per query
         kind); the process-wide default registry when omitted.
@@ -64,25 +58,16 @@ class EnergyDatabase:
         Queries slower than this are logged (``db.slow_query``, warning)
         and offered to the process slow-op log with the request ID that
         issued them.
-    metric_labels:
-        Extra labels stamped onto every ``db_query_seconds`` observation
-        — the sharded data plane passes ``{"shard": "<id>"}`` here so
-        per-shard query latency (and therefore per-shard lock
-        contention) is visible in the metrics instead of folding into
-        one anonymous series.
     """
 
     def __init__(
         self,
         customers: Sequence[Customer],
         readings: SeriesSet,
-        index_kind: str = "rtree",
         metrics: obs.MetricsRegistry | None = None,
         slow_query_seconds: float = 0.25,
-        metric_labels: dict[str, str] | None = None,
     ) -> None:
         self._metrics = metrics
-        self._metric_labels = dict(metric_labels or {})
         # Serving threads issue composed reads concurrently; a reentrant
         # read lock keeps each query atomic over table + index + readings
         # (the composed demand path nests readings_for inside demand).
@@ -92,10 +77,6 @@ class EnergyDatabase:
                 f"slow_query_seconds must be positive, got {slow_query_seconds}"
             )
         self.slow_query_seconds = slow_query_seconds
-        if index_kind not in INDEX_KINDS:
-            raise ValueError(
-                f"unknown index_kind {index_kind!r}; pick one of {INDEX_KINDS}"
-            )
         customers = list(customers)
         if not customers:
             raise ValueError("a database needs at least one customer")
@@ -119,13 +100,7 @@ class EnergyDatabase:
         )
         lons = np.array([c.lon for c in customers])
         lats = np.array([c.lat for c in customers])
-        if index_kind == "grid":
-            self.index = GridIndex(ids, lons, lats)
-        elif index_kind == "quadtree":
-            self.index = QuadTree(ids, lons, lats)
-        else:
-            self.index = RTree(ids, lons, lats)
-        self.index_kind = index_kind
+        self.index = RTree(ids, lons, lats)
 
     # ------------------------------------------------------------------
     # metadata
@@ -141,9 +116,7 @@ class EnergyDatabase:
         queries over :attr:`slow_query_seconds` are also logged and
         offered to the slow-op log (correlated by request ID)."""
         registry = self.metrics
-        hist = registry.histogram(
-            "db_query_seconds", op=op, **self._metric_labels
-        )
+        hist = registry.histogram("db_query_seconds", op=op)
         start = registry.clock()
         try:
             with self._read_lock:
@@ -182,24 +155,6 @@ class EnergyDatabase:
     def query(self) -> Query:
         """A fresh fluent query over the customers table."""
         return Query(self.table)
-
-    def group_by(
-        self,
-        key: str,
-        aggregates: dict[str, tuple[str, str]],
-        predicate=None,
-    ) -> list[dict[str, object]]:
-        """Grouped aggregates over the (optionally filtered) customers.
-
-        Convenience over :meth:`repro.db.query.Query.group_by`; exists so
-        single-shard and sharded databases expose the same grouped-query
-        entry point.
-        """
-        with self._timed("group_by"):
-            q = self.query()
-            if predicate is not None:
-                q = q.where(predicate)
-            return q.group_by(key, aggregates)
 
     def sql(self, statement: str) -> list[dict[str, object]]:
         """Run a SQL SELECT against the ``customers`` table.
@@ -333,61 +288,6 @@ class EnergyDatabase:
                 values[observed] = stat
             return self.positions_of(sliced.customer_ids), values
 
-    def top_consumers(
-        self,
-        window: HourWindow,
-        k: int = 10,
-        statistic: str = "mean",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The k heaviest consumers over a window, heaviest first.
-
-        Returns ``(ids, values)``; ties on the statistic break toward the
-        smaller customer id so the ranking is deterministic (and therefore
-        mergeable shard by shard).
-
-        Raises
-        ------
-        ValueError
-            For ``k < 1`` or an unknown statistic.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        with self._timed("topk"):
-            ids = np.asarray(
-                [int(cid) for cid in self.readings.customer_ids],
-                dtype=np.int64,
-            )
-            _, values = self.demand(window, None, statistic)
-            # lexsort: last key is primary — descending value, then id.
-            order = np.lexsort((ids, -values))[:k]
-            return ids[order], values[order]
-
-    def rollup_partials(
-        self,
-        resolutions: Sequence["Resolution"],
-        window: HourWindow | None = None,
-    ) -> dict["Resolution", "BucketPartials"]:
-        """Per-customer bucket partials for the rollup layer, one entry
-        per requested resolution, rows in readings order.
-
-        The shared bucketing primitive
-        (:func:`~repro.preprocess.resample.bucket_partials`) does the
-        work, so the derived tables a :class:`~repro.rollup.store
-        .RollupStore` rebuilds from here cannot drift from the batch
-        resample path.  ``window`` restricts the partials to an hour
-        range (the sharded engine uses it to pin every shard to the
-        common time prefix).
-        """
-        from repro.preprocess.resample import bucket_partials
-
-        with self._timed("rollup_partials"):
-            readings = self.readings
-            if window is not None:
-                readings = readings.slice_hours(
-                    window.start_hour, window.end_hour
-                )
-            return {res: bucket_partials(readings, res) for res in resolutions}
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -451,7 +351,5 @@ class EnergyDatabase:
             # Atomic swap: readers holding the old reference keep a
             # consistent snapshot.
             self.readings = merged
-        self.metrics.counter("db_ingest_hours_total", **self._metric_labels).inc(
-            int(values.shape[1])
-        )
+        self.metrics.counter("db_ingest_hours_total").inc(int(values.shape[1]))
         return merged.end_hour

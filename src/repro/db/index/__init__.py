@@ -1,49 +1,11 @@
-"""Spatial point indexes.
+"""Spatial point index.
 
-Three classic structures with one interface (:class:`SpatialIndex`):
-
-- :class:`~repro.db.index.grid.GridIndex` — uniform binning; fastest to
-  build, great for the evenly-spread city-scale data here;
-- :class:`~repro.db.index.quadtree.QuadTree` — adaptive splitting, better
-  for skewed distributions;
-- :class:`~repro.db.index.rtree.RTree` — STR bulk-loaded R-tree, the
-  structure PostGIS itself uses (GiST over rectangles).
-
-All indexes answer box, radius and k-nearest-neighbour queries and are
-validated against brute force in the test suite.
+:class:`~repro.db.index.rtree.RTree` is an STR bulk-loaded R-tree, the
+structure PostGIS itself uses (GiST over rectangles).  It answers box,
+radius and k-nearest-neighbour queries and is validated against brute
+force in the test suite.
 """
 
-from __future__ import annotations
+from repro.db.index.rtree import RTree
 
-from typing import Protocol, runtime_checkable
-
-import numpy as np
-
-from repro.db.spatial import BBox, Circle
-
-
-@runtime_checkable
-class SpatialIndex(Protocol):
-    """What the query layer requires of an index implementation."""
-
-    def query_bbox(self, box: BBox) -> np.ndarray:
-        """Ids of points inside the box (inclusive edges), ascending."""
-        ...
-
-    def query_radius(self, circle: Circle) -> np.ndarray:
-        """Ids of points inside the circle, ascending."""
-        ...
-
-    def nearest(self, lon: float, lat: float, k: int = 1) -> np.ndarray:
-        """Ids of the k nearest points (planar degree metric), closest first."""
-        ...
-
-    def __len__(self) -> int:
-        ...
-
-
-from repro.db.index.grid import GridIndex  # noqa: E402
-from repro.db.index.quadtree import QuadTree  # noqa: E402
-from repro.db.index.rtree import RTree  # noqa: E402
-
-__all__ = ["GridIndex", "QuadTree", "RTree", "SpatialIndex"]
+__all__ = ["RTree"]

@@ -138,7 +138,8 @@ class RTree:
         return dx * dx + dy * dy
 
     def nearest(self, lon: float, lat: float, k: int = 1) -> np.ndarray:
-        """Best-first kNN identical in structure to the quadtree variant."""
+        """Best-first kNN on box distance: ids of the k nearest points
+        (planar degree metric), closest first."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, len(self))

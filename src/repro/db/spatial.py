@@ -9,6 +9,7 @@ parameters and cache keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,12 @@ class Point:
 
 @dataclass(frozen=True, slots=True)
 class BBox:
-    """Axis-aligned box, inclusive on all edges."""
+    """Axis-aligned box, inclusive on all edges.
+
+    Infinite bounds are valid (``-inf, -inf, inf, inf`` covers every
+    point); NaN bounds are not, because every comparison against NaN is
+    false and such a box would silently match nothing.
+    """
 
     min_lon: float
     min_lat: float
@@ -42,6 +48,11 @@ class BBox:
     max_lat: float
 
     def __post_init__(self) -> None:
+        if any(
+            math.isnan(v)
+            for v in (self.min_lon, self.min_lat, self.max_lon, self.max_lat)
+        ):
+            raise ValueError(f"bbox coordinates must not be NaN, got {self}")
         if self.max_lon < self.min_lon:
             raise ValueError(
                 f"max_lon {self.max_lon} precedes min_lon {self.min_lon}"

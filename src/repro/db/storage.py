@@ -10,7 +10,8 @@ engine a durable on-disk format:
 - ``meta.json`` — format version and shape metadata, checked on load.
 
 ``save_database`` / ``load_database`` round-trip exactly, including NaN
-cells and the spatial-index choice.
+cells.  Older saves also name a spatial index in ``meta.json``; the
+loader ignores that key (every database runs the R-tree index).
 
 Crash safety: a save stages every file in a hidden temp sibling
 directory and renames it into place only once complete, so a crash (or
@@ -37,7 +38,6 @@ import numpy as np
 from repro.data.loader import load_customers, save_customers
 from repro.data.timeseries import SeriesSet
 from repro.db.engine import EnergyDatabase
-from repro.db.sharding import ShardedEnergyDatabase
 from repro.resilience.faults import fault_bytes, fault_point
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
 
@@ -61,9 +61,7 @@ def _stage_dir(directory: Path) -> Path:
     return directory.parent / f".{directory.name}.staging"
 
 
-def _save_once(
-    db: EnergyDatabase | ShardedEnergyDatabase, directory: Path
-) -> Path:
+def _save_once(db: EnergyDatabase, directory: Path) -> Path:
     staging = _stage_dir(directory)
     if staging.exists():
         shutil.rmtree(staging)  # leftover from a previous crashed save
@@ -84,7 +82,6 @@ def _save_once(
             "n_customers": len(db),
             "n_steps": db.readings.n_steps,
             "start_hour": db.readings.start_hour,
-            "index_kind": db.index_kind,
         }
         payload = fault_bytes(
             "storage.save.meta", json.dumps(meta, indent=2).encode("utf-8")
@@ -109,7 +106,7 @@ def _save_once(
 
 
 def save_database(
-    db: EnergyDatabase | ShardedEnergyDatabase,
+    db: EnergyDatabase,
     directory: str | Path,
     retry: RetryPolicy | None = DEFAULT_POLICY,
 ) -> Path:
@@ -120,11 +117,6 @@ def save_database(
     complete, so readers never observe a partially-updated data set.
     Transient ``OSError``s are retried under ``retry`` (pass ``None``
     to disable).
-
-    A sharded database saves in the same single-directory format as the
-    single-shard engine (its ``readings`` property reassembles the
-    canonical row order), so the on-disk layout is shard-count agnostic:
-    save with one shard count, load with another.
     """
     directory = Path(directory)
     if retry is None:
@@ -132,9 +124,7 @@ def save_database(
     return retry.call(lambda: _save_once(db, directory), site="storage.save")
 
 
-def _load_once(
-    directory: Path, shards: int | None = None
-) -> EnergyDatabase | ShardedEnergyDatabase:
+def _load_once(directory: Path) -> EnergyDatabase:
     meta_path = directory / META_FILE
     fault_point("storage.load.meta")
     if not meta_path.exists():
@@ -211,26 +201,17 @@ def _load_once(
             f"{CUSTOMERS_FILE} and {READINGS_FILE} cover different customer "
             f"ids (e.g. {strays}) — the data set is torn"
         )
-    index_kind = meta.get("index_kind", "rtree")
-    if shards is not None and shards > 1:
-        return ShardedEnergyDatabase(
-            customers, readings, n_shards=shards, index_kind=index_kind
-        )
-    return EnergyDatabase(customers, readings, index_kind=index_kind)
+    return EnergyDatabase(customers, readings)
 
 
 def load_database(
     directory: str | Path,
     retry: RetryPolicy | None = DEFAULT_POLICY,
-    shards: int | None = None,
-) -> EnergyDatabase | ShardedEnergyDatabase:
+) -> EnergyDatabase:
     """Load a database saved by :func:`save_database`.
 
     Transient ``OSError``s are retried under ``retry`` (pass ``None`` to
     disable); corrupt or inconsistent data raises immediately.
-    ``shards > 1`` rebuilds the loaded data set as a hash-partitioned
-    :class:`~repro.db.sharding.ShardedEnergyDatabase` (the format on
-    disk is shard-count agnostic).
 
     Raises
     ------
@@ -241,10 +222,8 @@ def load_database(
     """
     directory = Path(directory)
     if retry is None:
-        return _load_once(directory, shards=shards)
-    return retry.call(
-        lambda: _load_once(directory, shards=shards), site="storage.load"
-    )
+        return _load_once(directory)
+    return retry.call(lambda: _load_once(directory), site="storage.load")
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +241,7 @@ def tenant_directory(root: str | Path, tenant_id: str) -> Path:
 
 
 def save_tenant_database(
-    db: EnergyDatabase | ShardedEnergyDatabase,
+    db: EnergyDatabase,
     root: str | Path,
     tenant_id: str,
     retry: RetryPolicy | None = DEFAULT_POLICY,
@@ -279,12 +258,9 @@ def load_tenant_database(
     root: str | Path,
     tenant_id: str,
     retry: RetryPolicy | None = DEFAULT_POLICY,
-    shards: int | None = None,
-) -> EnergyDatabase | ShardedEnergyDatabase:
+) -> EnergyDatabase:
     """Load one tenant's database from ``root/<tenant_id>/``."""
-    return load_database(
-        tenant_directory(root, tenant_id), retry=retry, shards=shards
-    )
+    return load_database(tenant_directory(root, tenant_id), retry=retry)
 
 
 def list_tenant_databases(root: str | Path) -> list[str]:

@@ -78,8 +78,8 @@ def bind_tenant(tenant: str | None) -> Iterator[str | None]:
 
     The server binds the resolved tenant around each handler call so
     spans, slow-op records and log lines emitted while handling the
-    request — including shard tasks on pool threads, which re-bind a
-    captured context — can be attributed per tenant.
+    request — including work on other threads that re-binds a captured
+    context — can be attributed per tenant.
     """
     token = _tenant.set(tenant)
     try:

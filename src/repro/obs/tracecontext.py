@@ -2,8 +2,8 @@
 
 Python's :class:`~contextvars.ContextVar` bindings do not follow work
 submitted to a ``ThreadPoolExecutor``: the pool's worker threads were
-created long ago with their own (empty) contexts.  Before this module,
-every scatter-gather shard task, routed stream tick and pooled worker ran
+created long ago with their own (empty) contexts.  Without this module,
+every async job and other unit of work handed to a worker thread runs
 *outside* the originating request — its log lines carried
 ``request_id: None``, its spans opened as disconnected roots, and its
 deadline silently vanished.

@@ -12,9 +12,8 @@ path regardless of where it runs, and results are assembled in block
 order.  Worker count therefore only changes *scheduling*, never values:
 ``REPRO_WORKERS=1``, ``2`` and ``4`` produce bit-identical kernels.
 
-``REPRO_WORKERS`` is the one budget shared by every consumer — the
-process pool here and the sharded data plane's scatter threads — so an
-operator sizes parallelism once.
+``REPRO_WORKERS`` is the one process-wide budget every blockwise kernel
+obeys, so an operator sizes parallelism once.
 """
 
 from repro.parallel.pool import (
@@ -23,7 +22,6 @@ from repro.parallel.pool import (
     pool_budget,
     resolve_workers,
     row_blocks,
-    scatter_budget,
 )
 
 __all__ = [
@@ -32,5 +30,4 @@ __all__ = [
     "pool_budget",
     "resolve_workers",
     "row_blocks",
-    "scatter_budget",
 ]

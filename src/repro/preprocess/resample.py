@@ -61,7 +61,7 @@ class BucketPartials:
 
     Sums and counts are *additive*: partials of two disjoint hour ranges
     merge by adding the matching bucket columns — the property the rollup
-    layer's incremental maintenance and the sharded scatter both rely on.
+    layer's incremental maintenance relies on.
     """
 
     resolution: Resolution

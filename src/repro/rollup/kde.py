@@ -11,7 +11,7 @@ where ``S(x) = sum_i v_i * exp(-|x - x_i|^2 / 2h^2)`` is the raw
 total`` cancels ``n`` against the ``1/n`` prefactor.  ``S`` and ``total``
 are **additive over points and over hours**: a stream tick can add one
 hour's kernel contributions to an accumulated grid instead of recomputing
-the whole KDE, and per-shard partial grids merge by addition.
+the whole KDE, and partial grids merge by addition.
 
 :class:`KdeAccumulator` pins positions, grid and bandwidth once and
 precomputes the separable Gaussian factor matrices (the same ``fx``/``fy``
@@ -95,8 +95,7 @@ class KdeAccumulator:
         array.
 
         Additive: ``grid(a) + grid(b)`` equals ``grid(a + b)`` up to float
-        rounding — the invariant incremental maintenance and shard-partial
-        merges rely on.
+        rounding — the invariant incremental maintenance relies on.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n,):

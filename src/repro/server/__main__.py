@@ -64,12 +64,6 @@ def main(argv: list[str] | None = None) -> None:
         help="seed for the fault plan's injection streams (default 0)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="partition the database into this many hash shards with "
-             "parallel scatter-gather queries (default: REPRO_SHARDS "
-             "env var, else 1)",
-    )
-    parser.add_argument(
         "--tenants", type=str, default=None, metavar="NAMES",
         help="comma-separated tenant ids; each gets its own isolated "
              "city/database/caches, selected per request via the "
@@ -140,12 +134,10 @@ def main(argv: list[str] | None = None) -> None:
                     seed=args.seed + offset,
                 )
             )
-            tenants.create_from_city(
-                name, tenant_city, shards=args.shards, quota=quota
-            )
+            tenants.create_from_city(name, tenant_city, quota=quota)
         session = None
     else:
-        session = VapSession.from_city(city, shards=args.shards)
+        session = VapSession.from_city(city)
     app = VapApp(
         session,
         layout=city.layout,
@@ -175,8 +167,6 @@ def main(argv: list[str] | None = None) -> None:
             f"  jobs:      {base}/api/jobs  "
             f"({args.job_workers} job workers; POST to submit)"
         )
-        if args.shards is not None and args.shards > 1:
-            print(f"  sharding:  {args.shards} hash shards (scatter-gather)")
         if tenants is not None:
             print(
                 f"  tenants:   {', '.join(tenants.names())} "

@@ -1,23 +1,14 @@
-"""Shard-aware routing of replay batches into the data plane.
+"""Routing of replay batches into the data plane.
 
 A :class:`~repro.stream.feed.ReplayFeed` delivers batches whose rows are
-aligned to the feed's customer order; this module turns those batches
-into database writes.  Against a
-:class:`~repro.db.sharding.ShardedEnergyDatabase` each batch is split by
-:func:`~repro.db.sharding.shard_of` and appended under the owning shards'
-locks — so two feeds covering disjoint shard sets write fully in
-parallel, which is exactly what the concurrency stress test measures.
-
-:func:`shard_feed` carves a per-shard sub-feed out of a source series so
-independent writer threads can each replay one shard's customers.
+aligned to the feed's customer order; :class:`ShardRouter` turns those
+batches into database writes.
 
 A router can also carry a :class:`~repro.rollup.store.RollupStore`: every
 applied batch is then folded into the materialized rollups in the same
 call, so the derived tables never trail the database by more than the
 in-flight tick — the "maintained incrementally by stream ticks" half of
 the rollup layer.
-Per-shard routers sharing one store work too: the store's per-customer
-watermarks let disjoint row subsets advance independently.
 """
 
 from __future__ import annotations
@@ -25,32 +16,30 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro import obs
-from repro.data.timeseries import SeriesSet
 from repro.db.engine import EnergyDatabase
-from repro.db.sharding import ShardedEnergyDatabase, shard_of
 from repro.rollup.store import RollupStore
 from repro.stream.feed import Batch, ReplayFeed
 
 
 class ShardRouter:
-    """Applies replay batches to a database, sharded or not.
+    """Applies replay batches to one database (and its rollups).
 
     Parameters
     ----------
     db:
-        Target database.  A sharded one splits each batch by owning
-        shard; a single-shard engine takes the batch whole.
+        Target database; each batch is appended whole through
+        :meth:`~repro.db.engine.EnergyDatabase.ingest_hours`.
     customer_ids:
         The batch row order (usually ``feed.series_set.customer_ids``).
     rollups:
         Optional rollup store maintained alongside the database: each
         applied batch updates the derived demand tables (and any warm
-        kernel grids) incrementally, for this router's customer subset.
+        kernel grids) incrementally, for this router's customers.
     """
 
     def __init__(
         self,
-        db: EnergyDatabase | ShardedEnergyDatabase,
+        db: EnergyDatabase,
         customer_ids: Sequence[int],
         rollups: RollupStore | None = None,
     ) -> None:
@@ -65,16 +54,11 @@ class ShardRouter:
             start_hour=batch.start_hour,
             rows=len(self.customer_ids),
         ):
-            if isinstance(self.db, ShardedEnergyDatabase):
-                end = self.db.ingest_tick(
-                    self.customer_ids, batch.values, batch.start_hour
-                )
-            else:
-                end = self.db.ingest_hours(
-                    batch.values,
-                    batch.start_hour,
-                    customer_ids=self.customer_ids,
-                )
+            end = self.db.ingest_hours(
+                batch.values,
+                batch.start_hour,
+                customer_ids=self.customer_ids,
+            )
             if self.rollups is not None:
                 self.rollups.apply_batch(
                     batch, customer_ids=self.customer_ids
@@ -90,28 +74,3 @@ class ShardRouter:
             self.apply(batch)
             applied += 1
         return applied
-
-
-def shard_feed(
-    series: SeriesSet,
-    shard_id: int,
-    n_shards: int,
-    hours_per_tick: int = 1,
-) -> ReplayFeed | None:
-    """A replay feed covering only one shard's customers.
-
-    Returns ``None`` when the shard owns no customers of this series
-    (hash gaps happen at small populations).  Each writer thread in a
-    sharded deployment replays its own shard feed, so ingestion
-    parallelises across shard locks.
-    """
-    members = [
-        int(cid)
-        for cid in series.customer_ids
-        if shard_of(int(cid), n_shards) == shard_id
-    ]
-    if not members:
-        return None
-    return ReplayFeed(
-        series.select_customers(members), hours_per_tick=hours_per_tick
-    )

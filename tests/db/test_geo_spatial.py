@@ -1,5 +1,7 @@
 """Tests for geodesy and geometry types."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ class TestBBox:
             BBox(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             BBox(0.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (math.nan, math.nan, math.nan, math.nan),
+            (0.0, 0.0, math.nan, 1.0),
+            (math.nan, 0.0, 1.0, 1.0),
+        ],
+    )
+    def test_rejects_nan(self, coords):
+        with pytest.raises(ValueError, match="NaN"):
+            BBox(*coords)
+
+    def test_infinite_bounds_are_valid(self):
+        box = BBox(-math.inf, -math.inf, math.inf, math.inf)
+        assert box.contains(12.5, 55.6)
 
     def test_from_points(self):
         box = BBox.from_points([1.0, 3.0, 2.0], [5.0, 4.0, 6.0])

@@ -1,14 +1,14 @@
-"""Tests for the three spatial indexes, validated against brute force."""
+"""Tests for the R-tree spatial index, validated against brute force."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
 from repro.db.index.rtree import RTree
 from repro.db.spatial import BBox, Circle, Point
 
-INDEX_CLASSES = [GridIndex, QuadTree, RTree]
+INDEX_CLASSES = [RTree]
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,16 @@ class TestIndexCorrectness:
         index = cls(ids, lons, lats)
         out = index.query_bbox(BBox(0.0, 0.0, 1.0, 1.0))
         assert out.size == 0
+
+    @pytest.mark.parametrize(
+        "box",
+        [BBox(-math.inf, -math.inf, math.inf, math.inf), BBox(0, 0, 1e308, 1e308)],
+        ids=["infinite", "huge"],
+    )
+    def test_unbounded_bbox_returns_every_id(self, cls, cloud, box):
+        ids, lons, lats = cloud
+        index = cls(ids, lons, lats)
+        assert index.query_bbox(box).tolist() == sorted(ids.tolist())
 
     def test_radius_queries_match_brute_force(self, cls, cloud, rng):
         ids, lons, lats = cloud

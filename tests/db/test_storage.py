@@ -23,7 +23,6 @@ class TestRoundTrip:
         save_database(small_db, tmp_path / "store")
         loaded = load_database(tmp_path / "store")
         assert len(loaded) == len(small_db)
-        assert loaded.index_kind == small_db.index_kind
         np.testing.assert_array_equal(
             loaded.readings.customer_ids, small_db.readings.customer_ids
         )
@@ -45,6 +44,21 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             loaded.ids_in_bbox(query), small_db.ids_in_bbox(query)
         )
+
+    def test_legacy_index_key_is_ignored(self, small_db, tmp_path):
+        # Older saves recorded their spatial index in meta.json; such a
+        # data set must still load (onto the R-tree) and answer queries.
+        target = save_database(small_db, tmp_path / "store")
+        meta = json.loads((target / META_FILE).read_text())
+        assert "index_kind" not in meta
+        meta["index_kind"] = "quadtree"
+        (target / META_FILE).write_text(json.dumps(meta))
+        loaded = load_database(target)
+        box = small_db.bounding_box()
+        np.testing.assert_array_equal(
+            loaded.ids_in_bbox(box), small_db.ids_in_bbox(box)
+        )
+        assert loaded.ids_in_bbox(box).size == len(small_db)
 
     def test_overwrite_save(self, small_db, tmp_path):
         target = tmp_path / "store"
@@ -236,52 +250,6 @@ class TestCrashSafety:
             assert len(load_database(target, retry=None)) == len(small_db)
 
 
-class TestShardedRoundTrip:
-    """The on-disk format is shard-count-agnostic.
-
-    A sharded database saves as one flat artifact; loading may pick any
-    shard count (including 1) and must reproduce the same data
-    bit-exactly.  The CI chaos job runs these under an injected fault
-    plan, so the sharded paths also prove they sit on the retrying,
-    crash-safe save/load core.
-    """
-
-    def test_save_sharded_load_any_shard_count(self, small_city, tmp_path):
-        from repro.db.sharding import ShardedEnergyDatabase
-
-        db = ShardedEnergyDatabase(small_city.customers, small_city.raw, n_shards=4)
-        save_database(db, tmp_path / "store")
-        flat = load_database(tmp_path / "store")
-        assert not hasattr(flat, "shard_ids")
-        np.testing.assert_array_equal(flat.readings.matrix, db.readings.matrix)
-        # shards=1 keeps the single-lock engine, like build_database.
-        assert not hasattr(
-            load_database(tmp_path / "store", shards=1), "shard_ids"
-        )
-        for n in (3, 8):
-            loaded = load_database(tmp_path / "store", shards=n)
-            assert loaded.n_shards == n
-            assert loaded.customer_ids == db.customer_ids
-            np.testing.assert_array_equal(
-                np.asarray(loaded.readings.customer_ids),
-                np.asarray(db.readings.customer_ids),
-            )
-            np.testing.assert_array_equal(
-                loaded.readings.matrix, db.readings.matrix
-            )
-
-    def test_save_flat_load_sharded(self, small_db, tmp_path):
-        save_database(small_db, tmp_path / "store")
-        loaded = load_database(tmp_path / "store", shards=2)
-        assert loaded.n_shards == 2
-        assert loaded.index_kind == small_db.index_kind
-        np.testing.assert_array_equal(
-            loaded.readings.matrix, small_db.readings.matrix
-        )
-        box = small_db.bounding_box()
-        assert loaded.bounding_box() == box
-
-
 class TestTenantStorage:
     def test_tenant_directories_are_isolated(self, small_city, tmp_path):
         from repro.data.generator.simulate import CityConfig, generate_city
@@ -301,7 +269,7 @@ class TestTenantStorage:
         assert list_tenant_databases(root) == ["acme", "globex"]
 
         back_acme = load_tenant_database(root, "acme")
-        back_globex = load_tenant_database(root, "globex", shards=3)
+        back_globex = load_tenant_database(root, "globex")
         assert len(back_acme) == len(acme)
         assert len(back_globex) == len(globex)
         np.testing.assert_array_equal(

@@ -18,7 +18,7 @@ def jobs_city():
 @pytest.fixture()
 def registry(jobs_city):
     registry = TenantRegistry(default_tenant="acme")
-    registry.create_from_city("acme", jobs_city, shards=1)
+    registry.create_from_city("acme", jobs_city)
     return registry
 
 
@@ -49,6 +49,6 @@ def quota_registry(jobs_city):
     """A registry whose tenant allows at most one active job."""
     registry = TenantRegistry(default_tenant="acme")
     registry.create_from_city(
-        "acme", jobs_city, shards=1, quota=TenantQuota(max_active_jobs=1)
+        "acme", jobs_city, quota=TenantQuota(max_active_jobs=1)
     )
     return registry

@@ -1,5 +1,8 @@
 """The instrumented layers actually report: pipeline, db, kernels, stream."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from repro.cluster.kmeans import kmeans
 from repro.core.pipeline import VapSession
 from repro.data.generator.simulate import CityConfig, generate_city
 from repro.data.timeseries import HourWindow
-from repro.obs import MetricsRegistry, RingBufferSink
+from repro.db.engine import EnergyDatabase
+from repro.obs import JsonLogger, MetricsRegistry, RingBufferSink, SlowOpLog
 from repro.stream.clock import SimulatedClock
 
 
@@ -91,6 +95,46 @@ class TestDbInstrumentation:
         assert ops["bbox"] == 1
         assert ops["nearest"] == 1
         assert ops["sql"] == 1
+
+
+class TestSlowQueryContext:
+    """Slow queries stay attributable to the request and tenant that
+    issued them: the log line and the slow-op record both carry the ids
+    bound around the call."""
+
+    def test_slow_query_log_carries_request_id_and_tenant(
+        self, fresh_obs, obs_city
+    ):
+        stream = io.StringIO()
+        obs.configure(logger=JsonLogger(stream=stream))
+        db = EnergyDatabase(
+            obs_city.customers, obs_city.raw, slow_query_seconds=1e-9
+        )
+        with obs.bind_request_id("req-from-http"), obs.bind_tenant("acme"):
+            db.demand(HourWindow(8, 12))
+        events = [
+            json.loads(line)
+            for line in stream.getvalue().splitlines()
+            if json.loads(line)["event"] == "db.slow_query"
+        ]
+        assert events, "expected slow-query log records"
+        assert all(e["request_id"] == "req-from-http" for e in events)
+        assert all(e["tenant"] == "acme" for e in events)
+
+    def test_slow_op_records_carry_request_id_and_tenant(
+        self, fresh_obs, obs_city
+    ):
+        slow_log = SlowOpLog()
+        obs.configure(slow_log=slow_log)
+        db = EnergyDatabase(
+            obs_city.customers, obs_city.raw, slow_query_seconds=1e-9
+        )
+        with obs.bind_request_id("req-slow"), obs.bind_tenant("globex"):
+            db.demand(HourWindow(0, 24))
+        records = [r for r in slow_log.records() if r["name"] == "db.demand"]
+        assert records
+        assert all(r["request_id"] == "req-slow" for r in records)
+        assert all(r["tenant"] == "globex" for r in records)
 
 
 class TestKernelInstrumentation:

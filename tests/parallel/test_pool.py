@@ -19,7 +19,6 @@ from repro.parallel import (
     pool_budget,
     resolve_workers,
     row_blocks,
-    scatter_budget,
 )
 from repro.parallel import pool as pool_module
 
@@ -90,12 +89,6 @@ class TestBudgets:
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
         assert resolve_workers(None) == 1
-
-    def test_scatter_budget_shares_the_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert scatter_budget() == 16  # historical scatter-pool width
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert scatter_budget() == 3
 
 
 class TestMapBlocks:

@@ -21,8 +21,6 @@ from repro.core.shift.flow import ShiftField
 from repro.core.shift.grids import GridSpec
 from repro.core.shift.kde import kde_density, normalize_weights
 from repro.data.timeseries import Resolution, SeriesSet
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
 from repro.db.index.rtree import RTree
 from repro.db.spatial import BBox
 from repro.preprocess.imputation import impute
@@ -281,9 +279,7 @@ class TestIndexProperties:
         ids = np.arange(lons.size)
         box = BBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
         want = sorted(ids[box.contains_many(lons, lats)].tolist())
-        for cls in (GridIndex, QuadTree, RTree):
-            index = cls(ids, lons, lats)
-            assert index.query_bbox(box).tolist() == want
+        assert RTree(ids, lons, lats).query_bbox(box).tolist() == want
 
 
 # ---------------------------------------------------------------------------

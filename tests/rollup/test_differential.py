@@ -3,13 +3,10 @@
 Hypothesis drives randomized workloads — dyadic demand values (exact
 under float addition in any association order), random missing-data
 masks, random spans — through both implementations of the S2 sweeps and
-requires the answers to agree to float tolerance.  The database is built
-at shard counts 1 and 4 so the scatter-gather ``rollup_partials`` merge
-path is differentially tested too, not just the single-engine path.
+requires the answers to agree to float tolerance.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
@@ -23,7 +20,7 @@ from repro.core.shift.sensitivity import (
 )
 from repro.data.meter import Customer, CustomerType, ZoneKind
 from repro.data.timeseries import HourWindow, Resolution, SeriesSet
-from repro.db import build_database
+from repro.db import EnergyDatabase
 from repro.rollup import RollupStore
 
 RESOLUTIONS = (Resolution.HOURLY, Resolution.DAILY, Resolution.WEEKLY)
@@ -62,7 +59,7 @@ def workloads(draw):
     return matrix
 
 
-def _build(matrix, shards):
+def _build(matrix):
     n = matrix.shape[0]
     positions = _POSITIONS[:n]
     series = SeriesSet(list(range(n)), 0, matrix)
@@ -76,7 +73,7 @@ def _build(matrix, shards):
         )
         for i in range(n)
     ]
-    db = build_database(customers, series, shards=shards)
+    db = EnergyDatabase(customers, series)
     spec = GridSpec.covering(positions, nx=10, ny=10)
     store = RollupStore(
         positions, list(range(n)), spec, resolutions=RESOLUTIONS
@@ -98,12 +95,11 @@ def _assert_granularity_agreement(raw, rolled):
             )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestGranularityDifferential:
     @given(workloads())
     @settings(max_examples=8, deadline=None)
-    def test_rollup_sweep_equals_raw_sweep(self, shards, matrix):
-        db, store, spec = _build(matrix, shards)
+    def test_rollup_sweep_equals_raw_sweep(self, matrix):
+        db, store, spec = _build(matrix)
         raw = granularity_sweep(
             db, resolutions=RESOLUTIONS, spec=spec,
             bandwidth_m=store.bandwidth_m,
@@ -114,12 +110,11 @@ class TestGranularityDifferential:
         _assert_granularity_agreement(raw, rolled)
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestQuantileDifferential:
     @given(workloads(), st.integers(4, 12))
     @settings(max_examples=8, deadline=None)
-    def test_rollup_sweep_equals_raw_sweep(self, shards, matrix, width):
-        db, store, spec = _build(matrix, shards)
+    def test_rollup_sweep_equals_raw_sweep(self, matrix, width):
+        db, store, spec = _build(matrix)
         n_hours = matrix.shape[1]
         width = min(width, n_hours // 2)
         t1 = HourWindow(0, width)

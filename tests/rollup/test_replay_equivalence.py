@@ -153,7 +153,7 @@ class TestStoreEquivalence:
         router applies rollups only after a tick commits, so a seeded
         fault plan leaves the store identical to a clean run."""
         from repro.data.generator.simulate import CityConfig, generate_city
-        from repro.db import build_database
+        from repro.db import EnergyDatabase
         from repro.stream.routing import ShardRouter
 
         city = generate_city(CityConfig(n_customers=20, n_days=4, seed=55))
@@ -163,7 +163,7 @@ class TestStoreEquivalence:
         tail = series.slice_hours(head_end, series.end_hour)
 
         def run(plan):
-            db = build_database(city.customers, head)
+            db = EnergyDatabase(city.customers, head)
             ids = [int(c) for c in series.customer_ids]
             spec = GridSpec.covering(db.positions_of(ids), nx=12, ny=12)
             store = RollupStore(db.positions_of(ids), ids, spec)

@@ -38,8 +38,8 @@ def cities():
 @pytest.fixture()
 def registry(cities):
     registry = TenantRegistry(default_tenant="acme")
-    registry.create_from_city("acme", cities["acme"], shards=1)
-    registry.create_from_city("globex", cities["globex"], shards=1)
+    registry.create_from_city("acme", cities["acme"])
+    registry.create_from_city("globex", cities["globex"])
     return registry
 
 
@@ -253,7 +253,6 @@ class TestTenancyAndBounds:
         registry.create_from_city(
             "acme",
             cities["acme"],
-            shards=1,
             quota=TenantQuota(max_active_jobs=1),
         )
         service = JobService(

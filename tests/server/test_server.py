@@ -119,6 +119,14 @@ class TestApi:
     def test_customers_bad_bbox(self, client):
         assert client.get("/api/customers?bbox=1,2,3").status == 400
         assert client.get("/api/customers?bbox=a,b,c,d").status == 400
+        for nan_box in ("nan,nan,nan,nan", "nan,0,1,1", "0,0,nan,1"):
+            response = client.get(f"/api/customers?bbox={nan_box}")
+            assert response.status == 400
+            assert "NaN" in response.json["error"]
+
+    def test_customers_infinite_bbox_returns_everyone(self, client, small_session):
+        data = client.get("/api/customers?bbox=-inf,-inf,inf,inf").json
+        assert data["count"] == len(small_session.db)
 
     def test_customer_detail_and_404(self, client, small_session):
         cid = small_session.db.customer_ids[0]

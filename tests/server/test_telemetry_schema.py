@@ -89,7 +89,7 @@ def _build_payload(city) -> dict:
     previous = obs.get_tracer()
     obs.configure(sink=obs.RingBufferSink(), trace_store=TraceStore())
     try:
-        session = VapSession.from_city(city, shards=2, metrics=MetricsRegistry())
+        session = VapSession.from_city(city, metrics=MetricsRegistry())
         app = VapApp(
             session,
             layout=city.layout,

@@ -37,10 +37,8 @@ def cities():
 @pytest.fixture()
 def registry(cities):
     registry = TenantRegistry(default_tenant="acme")
-    # One sharded, one flat: tenancy is independent of the data plane.
-    # shards are explicit so a REPRO_SHARDS CI leg cannot reshape them.
-    registry.create_from_city("acme", cities["acme"], shards=2)
-    registry.create_from_city("globex", cities["globex"], shards=1)
+    registry.create_from_city("acme", cities["acme"])
+    registry.create_from_city("globex", cities["globex"])
     return registry
 
 
@@ -99,7 +97,7 @@ class TestRouting:
     def test_single_tenant_app_unchanged(self, cities):
         # The pre-tenancy constructor shape still works: one session,
         # no registry, requests need no tenant routing at all.
-        app = VapApp(VapSession.from_city(cities["globex"], shards=1))
+        app = VapApp(VapSession.from_city(cities["globex"]))
         response = TestClient(app).get("/api/health")
         assert response.status == 200
         assert response.json["n_customers"] == GLOBEX_CUSTOMERS
@@ -147,8 +145,6 @@ class TestIsolation:
         assert set(after) == {"acme", "globex"}
         assert after["acme"]["requests"] == before["acme"]["requests"] + 3
         assert after["globex"]["requests"] == before["globex"]["requests"]
-        assert after["acme"]["n_shards"] == 2
-        assert after["globex"]["n_shards"] == 1
         assert after["acme"]["n_customers"] == ACME_CUSTOMERS
         assert after["globex"]["n_customers"] == GLOBEX_CUSTOMERS
 
@@ -206,7 +202,7 @@ class TestRegistryValidation:
 
     def test_bad_tenant_ids_rejected(self, cities):
         registry = TenantRegistry()
-        session = VapSession.from_city(cities["globex"], shards=1)
+        session = VapSession.from_city(cities["globex"])
         for bad in ("", "../x", "a b", "-lead", "x" * 65):
             with pytest.raises(ValueError, match="tenant id"):
                 registry.add(bad, session)

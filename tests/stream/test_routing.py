@@ -1,14 +1,19 @@
-"""Shard-aware routing of replay batches (stream → data plane)."""
+"""Routing of replay batches (stream → data plane)."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.data.generator.simulate import CityConfig, generate_city
+from repro.data.timeseries import HourWindow
 from repro.db.engine import EnergyDatabase
-from repro.db.sharding import ShardedEnergyDatabase, shard_of
-from repro.stream import ReplayFeed, ShardRouter, shard_feed
+from repro.stream import ReplayFeed, ShardRouter
+
+N_READERS = 8
+READER_ITERATIONS = 30
 
 
 @pytest.fixture()
@@ -32,18 +37,6 @@ class TestShardRouter:
         assert db.time_span.end_hour == city.raw.n_steps
         np.testing.assert_array_equal(db.readings.matrix, city.raw.matrix)
 
-    def test_routes_to_sharded_database(self, city):
-        head, rest = _split(city)
-        db = ShardedEnergyDatabase(city.customers, head, n_shards=3)
-        ShardRouter(db, rest.customer_ids).replay(
-            ReplayFeed(rest, hours_per_tick=6)
-        )
-        assert db.time_span.end_hour == city.raw.n_steps
-        got = db.readings
-        rows = {int(c): i for i, c in enumerate(city.raw.customer_ids)}
-        order = [rows[int(c)] for c in got.customer_ids]
-        np.testing.assert_array_equal(got.matrix, city.raw.matrix[order, :])
-
     def test_max_ticks_stops_early(self, city):
         head, rest = _split(city)
         db = EnergyDatabase(city.customers, head)
@@ -54,26 +47,78 @@ class TestShardRouter:
         assert db.time_span.end_hour == head.end_hour + 3
 
 
-class TestShardFeed:
-    def test_covers_exactly_one_shard(self, city):
-        n_shards = 3
-        seen: set[int] = set()
-        for sid in range(n_shards):
-            feed = shard_feed(city.raw, sid, n_shards, hours_per_tick=2)
-            if feed is None:
-                continue
-            members = [int(c) for c in feed.series_set.customer_ids]
-            assert all(shard_of(cid, n_shards) == sid for cid in members)
-            assert not (seen & set(members))
-            seen |= set(members)
-        assert seen == {int(c) for c in city.raw.customer_ids}
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
 
-    def test_empty_shard_returns_none(self):
-        city = generate_city(CityConfig(n_customers=3, n_days=2, seed=1))
-        # 3 customers over 64 shards: most shards must be empty.
-        empties = sum(
-            shard_feed(city.raw, sid, 64) is None for sid in range(64)
+
+class TestReadersDuringIngest:
+    def test_no_torn_reads_under_ingest(self):
+        """Readers racing a replaying writer only ever see whole ticks.
+
+        A window inside the pre-loaded prefix must come back
+        byte-identical to the source however many ticks land mid-read,
+        and the published readings must always be a clean column prefix
+        of the final data — never a matrix mixing tick boundaries.
+        """
+        city = generate_city(CityConfig(n_customers=64, n_days=14, seed=7))
+        source = city.raw
+        total = source.n_steps
+        half = total // 2
+        db = EnergyDatabase(city.customers, source.slice_hours(0, half))
+        source_ids = [int(cid) for cid in source.customer_ids]
+        row_of = {cid: i for i, cid in enumerate(source_ids)}
+        stable = HourWindow(0, half)
+        stable_ids = source_ids[::3]
+        stable_want = _bits(
+            source.matrix[[row_of[cid] for cid in stable_ids], :half]
         )
-        assert empties == 64 - len(
-            {shard_of(int(c), 64) for c in city.raw.customer_ids}
-        )
+        rest = source.slice_hours(half, total)
+        errors: list[BaseException] = []
+        errors_lock = threading.Lock()
+        writer_done = threading.Event()
+
+        def record(exc: BaseException) -> None:
+            with errors_lock:
+                errors.append(exc)
+
+        def writer() -> None:
+            try:
+                ShardRouter(db, rest.customer_ids).replay(
+                    ReplayFeed(rest, hours_per_tick=4)
+                )
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                record(exc)
+            finally:
+                writer_done.set()
+
+        def reader() -> None:
+            try:
+                # Keep reading until the writer is done, so every tick
+                # lands while readers are live.
+                iterations = 0
+                while iterations < READER_ITERATIONS or not writer_done.is_set():
+                    iterations += 1
+                    got = db.readings_for(stable_ids, stable)
+                    assert _bits(got.matrix) == stable_want, "torn read"
+                    snap = db.readings
+                    width = snap.n_steps
+                    assert half <= width <= total
+                    rows = [row_of[int(c)] for c in snap.customer_ids]
+                    assert _bits(snap.matrix) == _bits(
+                        source.matrix[rows, :width]
+                    ), "published matrix is not a source prefix"
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                record(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(N_READERS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "stress thread deadlocked"
+        assert not errors, errors[:3]
+        assert db.time_span.end_hour == total
+        rows = [row_of[int(c)] for c in db.readings.customer_ids]
+        assert _bits(db.readings.matrix) == _bits(source.matrix[rows, :])
