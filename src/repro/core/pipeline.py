@@ -67,6 +67,11 @@ EMBED_METHODS = ("tsne", "mds", "mds_classical")
 # degrade to their last-good result when the breaker is open).
 BREAKER_OPS = ("embed", "density")
 
+# LRU bound on cached granularity sweeps.  Each entry is keyed on the
+# data end hour it was computed at, so entries from before a tick are
+# never served again and simply age out.
+_MAX_GRANULARITY_SWEEPS = 8
+
 
 @dataclass(slots=True)
 class EmbeddingInfo:
@@ -152,6 +157,13 @@ class VapSession:
                 on_evict=lambda key, value: self._evicted("density"),
                 name="density",
             )
+        )
+        self._granularity_sweeps: SingleFlightCache[
+            tuple, list[GranularityResult]
+        ] = SingleFlightCache(
+            max_entries=_MAX_GRANULARITY_SWEEPS,
+            on_evict=lambda key, value: self._evicted("granularity_sweep"),
+            name="granularity_sweep",
         )
         self._grid_lock = threading.RLock()
         self._grid: GridSpec | None = None
@@ -679,8 +691,14 @@ class VapSession:
         ids_key = None if customer_ids is None else tuple(
             int(cid) for cid in customer_ids
         )
+        # Key on the window clipped to the data span, and compute over
+        # exactly that window: a window reaching past the end hour then
+        # gets a new key (a miss) once more of it has landed.
+        span = self.db.time_span
+        lo = max(window.start_hour, span.start_hour)
+        landed = HourWindow(lo, max(lo, min(window.end_hour, span.end_hour)))
         key = (
-            window.start_hour, window.end_hour, bandwidth_m, ids_key, spec,
+            landed.start_hour, landed.end_hour, bandwidth_m, ids_key, spec,
             method,
         )
 
@@ -688,7 +706,7 @@ class VapSession:
             with obs.span(
                 "pipeline.density", start=window.start_hour, end=window.end_hour
             ), self.metrics.timer("pipeline_seconds", op="density"):
-                positions, values = self.db.demand(window, customer_ids)
+                positions, values = self.db.demand(landed, customer_ids)
                 return kde_density(
                     positions, values, spec, bandwidth_m=bandwidth_m,
                     method=method,
@@ -827,26 +845,45 @@ class VapSession:
         readings exist.  Any rollup gap (:class:`~repro.rollup.store
         .RollupMiss`) falls back to the exact raw-readings sweep and is
         counted in ``pipeline_rollup_fallback_total``.
+
+        Results are cached with single-flight misses, keyed on the
+        options that change the result plus the data end hour the sweep
+        is computed at (the store's watermark after catch-up, or the
+        database's end hour on the raw path): a stream tick moves that
+        hour, so the next request recomputes.
         """
+        resolutions = tuple(resolutions)
+        options = (resolutions, max_pairs_per_resolution, bandwidth_m)
         with obs.span("pipeline.granularity_sweep"), \
                 self.metrics.timer("pipeline_seconds", op="granularity_sweep"):
             if use_rollups:
                 try:
                     self.rollups_catch_up()
-                    return granularity_sweep_from_rollups(
-                        self.rollups(),
-                        resolutions=resolutions,
-                        max_pairs_per_resolution=max_pairs_per_resolution,
-                        bandwidth_m=bandwidth_m,
+                    store = self.rollups()
+                    return self._flight(
+                        self._granularity_sweeps,
+                        "granularity_sweep",
+                        (*options, True, store.last_applied_hour),
+                        lambda: granularity_sweep_from_rollups(
+                            store,
+                            resolutions=resolutions,
+                            max_pairs_per_resolution=max_pairs_per_resolution,
+                            bandwidth_m=bandwidth_m,
+                        ),
                     )
                 except RollupMiss as exc:
                     self._rollup_fallback("granularity_sweep", str(exc))
-            return _granularity_sweep_raw(
-                self.db,
-                resolutions=resolutions,
-                spec=self.grid(),
-                max_pairs_per_resolution=max_pairs_per_resolution,
-                bandwidth_m=bandwidth_m,
+            return self._flight(
+                self._granularity_sweeps,
+                "granularity_sweep",
+                (*options, False, self.db.time_span.end_hour),
+                lambda: _granularity_sweep_raw(
+                    self.db,
+                    resolutions=resolutions,
+                    spec=self.grid(),
+                    max_pairs_per_resolution=max_pairs_per_resolution,
+                    bandwidth_m=bandwidth_m,
+                ),
             )
 
     def quantile_sweep(

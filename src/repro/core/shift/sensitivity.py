@@ -14,9 +14,10 @@ so they exercise the same data-layer path the interactive tool would.
 Each sweep also has a rollup-backed twin (``*_from_rollups``) answering
 the same question from a :class:`~repro.rollup.store.RollupStore` instead
 of the raw readings: per-bucket demand comes from the materialized tables
-and warm fields cost O(cells), so sweep latency is independent of
-``n_readings``.  The twins return the same result types and match the raw
-paths to float tolerance — the differential suite pins that.
+(warm fields of clean buckets cost O(cells), the rest O(n·cells)), so
+sweep latency is independent of ``n_readings``.  The twins return the
+same result types and match the raw paths to float tolerance — the
+differential suite pins that.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ def granularity_sweep_from_rollups(
     Mirrors :func:`granularity_sweep` pair for pair — same bucket set
     (both derive from the shared bucketing primitive), same even spread
     over the horizon, same statistics — but every field comes from
-    :meth:`~repro.rollup.store.RollupStore.bucket_field`: O(cells) when
-    warm, never touching raw readings.
+    :meth:`~repro.rollup.store.RollupStore.bucket_field`: O(cells) for a
+    warm clean bucket, never touching raw readings.
 
     Raises
     ------
@@ -287,8 +288,10 @@ def quantile_sweep_from_rollups(
 
     Mirrors :func:`quantile_sweep`: per-customer totals over ``t1 ∪ t2``
     come from the hourly rollup instead of the raw matrix, each group's
-    fields from cached kernel factors.  ``bandwidth_m=None`` applies
-    Silverman's rule *per selected subset*, exactly as the raw path does.
+    fields from cached kernel factors shared by both windows (see
+    :meth:`~repro.rollup.store.RollupStore.window_fields`).
+    ``bandwidth_m=None`` applies Silverman's rule *per selected subset*,
+    exactly as the raw path does.
 
     Raises
     ------
@@ -304,10 +307,21 @@ def quantile_sweep_from_rollups(
         min(t1.start_hour, t2.start_hour), max(t1.end_hour, t2.end_hour)
     )
     totals = store.window_demand(span, statistic="sum")
-    results: list[QuantileResult] = []
+    selections = []
     for q in quantiles:
         threshold = float(np.quantile(totals, q))
-        selected = np.flatnonzero(totals >= threshold)
+        selections.append(np.flatnonzero(totals >= threshold))
+    # Both windows' demand is assembled once, and each group's bandwidth
+    # and kernel factors are shared by its two fields.
+    fields = iter(
+        store.window_fields(
+            (t1, t2),
+            [selected for selected in selections if selected.size >= 2],
+            bandwidth_m=bandwidth_m,
+        )
+    )
+    results: list[QuantileResult] = []
+    for q, selected in zip(quantiles, selections):
         if selected.size < 2:
             results.append(
                 QuantileResult(
@@ -319,8 +333,7 @@ def quantile_sweep_from_rollups(
                 )
             )
             continue
-        before = store.window_field(t1, rows=selected, bandwidth_m=bandwidth_m)
-        after = store.window_field(t2, rows=selected, bandwidth_m=bandwidth_m)
+        before, after = next(fields)
         field = ShiftField.between(before, after)
         flows = major_flows(field)
         results.append(

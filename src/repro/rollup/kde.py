@@ -148,6 +148,29 @@ class KdeAccumulator:
             count mismatching the subset, or a subset of fewer than one
             point.
         """
+        return self.fields_from_weights(
+            [weights], rows=rows, bandwidth_m=bandwidth_m
+        )[0]
+
+    def fields_from_weights(
+        self,
+        weight_sets,
+        rows: np.ndarray | None = None,
+        bandwidth_m: float | None = None,
+    ) -> list[DensityGrid]:
+        """:meth:`field_from_weights` for several weight vectors over one
+        subset, in order.
+
+        The subset's bandwidth and factor matrices are built once and
+        shared; each field then runs exactly the operations a separate
+        :meth:`field_from_weights` call would, so the fields are
+        bit-identical to one call per weight vector.
+
+        Raises
+        ------
+        ValueError
+            As :meth:`field_from_weights`, for any of the weight vectors.
+        """
         if rows is None:
             px, py = self._px, self._py
         else:
@@ -156,14 +179,16 @@ class KdeAccumulator:
         m = px.shape[0]
         if m == 0:
             raise ValueError("cannot estimate a density from zero points")
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (m,):
-            raise ValueError(
-                f"weights shape {weights.shape} does not match {m} positions"
-            )
-        if not np.isfinite(weights).all():
-            raise ValueError("weights contain NaN/inf")
-        c = normalize_weights(weights)
+        normalized = []
+        for weights in weight_sets:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (m,):
+                raise ValueError(
+                    f"weights shape {weights.shape} does not match {m} positions"
+                )
+            if not np.isfinite(weights).all():
+                raise ValueError("weights contain NaN/inf")
+            normalized.append(normalize_weights(weights))
         if bandwidth_m is None:
             bandwidth_m = bandwidth_silverman(np.column_stack([px, py]))
         else:
@@ -184,5 +209,7 @@ class KdeAccumulator:
             fx = np.exp(-inv * (self._gx[:, None] - px[None, :]) ** 2)
             fy = np.exp(-inv * (self._gy[:, None] - py[None, :]) ** 2)
         norm = 1.0 / (m * 2.0 * np.pi * bandwidth_m**2)
-        values = norm * (fy * c[None, :]) @ fx.T
-        return DensityGrid(spec=self.spec, values=values)
+        return [
+            DensityGrid(spec=self.spec, values=norm * (fy * c[None, :]) @ fx.T)
+            for c in normalized
+        ]

@@ -18,9 +18,9 @@ float addition drifts, every ``refold_every`` folded hours a bucket's grid
 is **refolded** — recomputed exactly from its demand rollup — which bounds
 the drift the replay-equivalence suite pins.
 
-Queries never touch raw readings: a warm granularity/quantile sweep is
-answered in O(cells) per field, independent of ``n_readings``.  Cold
-buckets materialize their grid from the demand rollup in O(n·cells) once.
+Queries never touch raw readings, so sweep latency is independent of
+``n_readings``: a warm clean bucket's field costs O(cells), and a cold
+one materializes its grid from the demand rollup in O(n·cells) once.
 
 Exactness fallback: the O(cells) fast path requires the bucket's
 per-customer observation counts to be uniform (then the count cancels out
@@ -567,12 +567,39 @@ class RollupStore:
         bandwidth_m: float | None = None,
     ) -> DensityGrid:
         """Eq. 3 over an arbitrary window (optionally a customer subset),
-        weighted by rollup-derived mean demand — the quantile sweep's
-        field primitive."""
-        weights = self.window_demand(window, statistic="mean")
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            weights = weights[rows]
-        return self.acc.field_from_weights(
-            weights, rows=rows, bandwidth_m=bandwidth_m
-        )
+        weighted by rollup-derived mean demand."""
+        return self.window_fields([window], [rows], bandwidth_m)[0][0]
+
+    def window_fields(
+        self,
+        windows,
+        subsets,
+        bandwidth_m: float | None = None,
+    ) -> list[list[DensityGrid]]:
+        """:meth:`window_field` for every subset × window pair — the
+        quantile sweep's field primitive.
+
+        Returns one list per subset (``None`` = every customer) holding
+        one field per window.  Each window's mean demand is assembled
+        from the hourly rollup once, and each subset's bandwidth and
+        kernel factors are built once for all windows; the fields are
+        bit-identical to one :meth:`window_field` call per pair.
+
+        Raises
+        ------
+        RollupMiss
+            If a window is not fully inside the rolled-up span.
+        """
+        weights = [self.window_demand(w, statistic="mean") for w in windows]
+        fields = []
+        for rows in subsets:
+            if rows is not None:
+                rows = np.asarray(rows, dtype=np.int64)
+            fields.append(
+                self.acc.fields_from_weights(
+                    [w if rows is None else w[rows] for w in weights],
+                    rows=rows,
+                    bandwidth_m=bandwidth_m,
+                )
+            )
+        return fields

@@ -15,6 +15,21 @@ from typing import Any
 import numpy as np
 
 
+def _plain_tolist(array: np.ndarray) -> bool:
+    """Whether ``array.tolist()`` is already JSON-safe: bool and integer
+    arrays, and float arrays of at most double precision with no NaN/inf
+    (``tolist`` turns those into plain Python ``bool``/``int``/``float``,
+    so walking them element by element would change nothing)."""
+    kind = array.dtype.kind
+    if kind in ("b", "i", "u"):
+        return True
+    return (
+        kind == "f"
+        and array.dtype.itemsize <= 8
+        and bool(np.isfinite(array).all())
+    )
+
+
 def _sanitize(value: Any) -> Any:
     """Recursively convert to plain JSON-safe Python values."""
     if value is None or isinstance(value, (bool, str, int)):
@@ -31,7 +46,9 @@ def _sanitize(value: Any) -> Any:
         out = float(value)
         return out if math.isfinite(out) else None
     if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
+        # A 0-d array's tolist() is a scalar, which sanitizes as one.
+        items = value.tolist()
+        return items if _plain_tolist(value) else _sanitize(items)
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

@@ -264,3 +264,194 @@ class TestDeadlineIntegration:
         with bind_deadline(Deadline(3600.0)):
             info = session.embed(n_iter=20, perplexity=4.0)
         assert info.coords.shape[1] == 2
+
+
+# ----------------------------------------------------------------------
+# Cache freshness under stream ticks.  CI re-runs these two classes under
+# a seeded ``stream.tick`` fault plan: ticks fail and are retried, and a
+# cached answer must still equal a freshly built session's.
+# ----------------------------------------------------------------------
+HEAD_HOURS = 7 * 24
+
+
+@pytest.fixture(scope="module")
+def tick_city():
+    from repro.data.generator.simulate import CityConfig, generate_city
+
+    return generate_city(CityConfig(n_customers=60, n_days=10, seed=3))
+
+
+def _session_through(city, end_hour, metrics=None):
+    """A session over the raw readings up to ``end_hour`` (exclusive)."""
+    from repro.db.engine import EnergyDatabase
+
+    raw = city.raw
+    db = EnergyDatabase(city.customers, raw.slice_hours(raw.start_hour, end_hour))
+    return VapSession(db, preprocess=False, metrics=metrics)
+
+
+def _tick(session, city, n_ticks):
+    """Replay ``n_ticks`` one-hour ticks into the session's database; the
+    feed retries injected ``stream.tick`` faults."""
+    from repro import obs
+    from repro.resilience.retry import RetryPolicy
+    from repro.stream.feed import ReplayFeed
+    from repro.stream.routing import ShardRouter
+
+    end = session.db.time_span.end_hour
+    tail = city.raw.slice_hours(end, end + n_ticks)
+    retry = RetryPolicy(
+        max_attempts=8,
+        base_delay=0.0,
+        max_delay=0.0,
+        sleeper=lambda s: None,
+        metrics=obs.MetricsRegistry(),
+    )
+    router = ShardRouter(session.db, [int(c) for c in tail.customer_ids])
+    assert router.replay(ReplayFeed(tail, retry=retry)) == n_ticks
+    assert session.db.time_span.end_hour == end + n_ticks
+
+
+class TestDensityCacheFreshness:
+    def test_window_past_the_end_recomputes_after_ticks(self, tick_city):
+        session = _session_through(tick_city, HEAD_HOURS)
+        window = HourWindow(HEAD_HOURS - 4, HEAD_HOURS + 4)
+        before = HourWindow(HEAD_HOURS - 8, HEAD_HOURS - 4)
+        stale_density = session.density(window)
+        stale_shift = session.shift(before, window)
+        _tick(session, tick_city, 6)
+        fresh = _session_through(tick_city, HEAD_HOURS + 6)
+        got = session.density(window)
+        assert got is not stale_density
+        assert np.array_equal(got.values, fresh.density(window).values)
+        assert not np.array_equal(got.values, stale_density.values)
+        shift = session.shift(before, window)
+        assert np.array_equal(shift.values, fresh.shift(before, window).values)
+        assert not np.array_equal(shift.values, stale_shift.values)
+
+    def test_landed_window_keeps_its_entry(self, tick_city):
+        session = _session_through(tick_city, HEAD_HOURS)
+        window = HourWindow(HEAD_HOURS - 24, HEAD_HOURS)
+        first = session.density(window)
+        _tick(session, tick_city, 2)
+        assert session.density(window) is first
+
+    def test_windows_clipped_alike_share_an_entry(self, tick_city):
+        session = _session_through(tick_city, HEAD_HOURS)
+        a = session.density(HourWindow(HEAD_HOURS - 4, HEAD_HOURS + 4))
+        b = session.density(HourWindow(HEAD_HOURS - 4, HEAD_HOURS + 40))
+        assert a is b
+        assert a is session.density(HourWindow(HEAD_HOURS - 4, HEAD_HOURS))
+
+
+def _assert_same_sweep(got, want, rel=0.0):
+    assert [r.resolution for r in got] == [r.resolution for r in want]
+    for a, b in zip(got, want):
+        assert a.n_window_pairs == b.n_window_pairs
+        for name in ("mean_energy", "mean_flows", "peak_gain", "peak_loss"):
+            assert getattr(a, name) == pytest.approx(
+                getattr(b, name), rel=rel, abs=0.0, nan_ok=True
+            ), (a.resolution, name)
+
+
+class TestGranularitySweepCache:
+    def test_repeat_is_a_hit_without_bucket_fields(
+        self, tick_city, monkeypatch
+    ):
+        from repro.obs import MetricsRegistry
+        from repro.rollup.store import RollupStore
+
+        registry = MetricsRegistry()
+        session = _session_through(tick_city, HEAD_HOURS, metrics=registry)
+        first = session.granularity_sweep()
+        calls = []
+        real = RollupStore.bucket_field
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RollupStore, "bucket_field", counting)
+        assert session.granularity_sweep() is first
+        assert calls == []
+        hits = registry.counter(
+            "pipeline_cache_total", op="granularity_sweep", result="hit"
+        )
+        assert hits.value == 1
+
+    @pytest.mark.parametrize("use_rollups", [True, False])
+    def test_tick_recomputes_at_the_new_end_hour(self, tick_city, use_rollups):
+        session = _session_through(tick_city, HEAD_HOURS)
+        stale = session.granularity_sweep(use_rollups=use_rollups)
+        _tick(session, tick_city, 1)
+        got = session.granularity_sweep(use_rollups=use_rollups)
+        assert got is not stale
+        fresh = _session_through(tick_city, HEAD_HOURS + 1)
+        want = fresh.granularity_sweep(use_rollups=use_rollups)
+        # The ticked store folded the hour into warm grids; the fresh one
+        # rebuilt them, so the rollup answers agree to float rounding.
+        _assert_same_sweep(got, want, rel=1e-9 if use_rollups else 0.0)
+
+    def test_result_changing_options_get_distinct_entries(self, tick_city):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        session = _session_through(tick_city, HEAD_HOURS, metrics=registry)
+        variants = [
+            {},
+            {"use_rollups": False},
+            {"max_pairs_per_resolution": 3},
+            {"bandwidth_m": 800.0},
+        ]
+        results = [session.granularity_sweep(**kw) for kw in variants]
+        assert len(session._granularity_sweeps) == len(variants)
+        for kw, result in zip(variants, results):
+            assert session.granularity_sweep(**kw) is result
+        counts = {
+            outcome: registry.counter(
+                "pipeline_cache_total", op="granularity_sweep", result=outcome
+            ).value
+            for outcome in ("hit", "miss")
+        }
+        assert counts == {"hit": len(variants), "miss": len(variants)}
+
+    def test_expired_deadline_still_gets_503(self, tick_city):
+        from repro.server import TestClient, VapApp
+
+        session = _session_through(tick_city, HEAD_HOURS)
+        session.granularity_sweep()  # cached: the request would be a hit
+        client = TestClient(VapApp(session, deadline_seconds=1e-9))
+        response = client.get("/api/sweep/granularity")
+        assert response.status == 503
+        assert "deadline" in response.json["error"]
+
+    def test_cached_answers_track_a_day_of_ticks(self, tick_city):
+        """Density, shift and both sweep sources, re-asked every six
+        ticks for a window reaching past the end: each answer equals a
+        fresh session's at the new end hour."""
+        session = _session_through(tick_city, HEAD_HOURS)
+        end = HEAD_HOURS
+        for _ in range(4):
+            window = HourWindow(end - 4, end + 4)
+            before = HourWindow(end - 8, end - 4)
+            session.shift(before, window)
+            session.granularity_sweep()
+            session.granularity_sweep(use_rollups=False)
+            _tick(session, tick_city, 6)
+            end += 6
+            fresh = _session_through(tick_city, end)
+            assert np.array_equal(
+                session.density(window).values, fresh.density(window).values
+            )
+            assert np.array_equal(
+                session.shift(before, window).values,
+                fresh.shift(before, window).values,
+            )
+            _assert_same_sweep(
+                session.granularity_sweep(), fresh.granularity_sweep(),
+                rel=1e-9,
+            )
+            _assert_same_sweep(
+                session.granularity_sweep(use_rollups=False),
+                fresh.granularity_sweep(use_rollups=False),
+            )
