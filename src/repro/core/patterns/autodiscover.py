@@ -28,6 +28,28 @@ def _validated(embedding: np.ndarray) -> np.ndarray:
     return embedding
 
 
+def _squared_distances(embedding: np.ndarray) -> np.ndarray:
+    """All pairwise squared distances, clipped at zero."""
+    sq = (embedding**2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (embedding @ embedding.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
+def _epsilon_from(d2: np.ndarray, min_points: int) -> float:
+    """The k-distance estimate over a squared-distance matrix."""
+    n = d2.shape[0]
+    if n <= min_points:
+        raise ValueError(
+            f"need more than {min_points} points to estimate epsilon, "
+            f"got {n}"
+        )
+    # Column 0 of a sorted row is self (distance 0); partitioning at
+    # ``min_points`` yields the same order statistic without the sort.
+    kth = np.sqrt(np.partition(d2, min_points, axis=1)[:, min_points])
+    return float(np.quantile(kth, 0.90))
+
+
 def auto_epsilon(embedding: np.ndarray, min_points: int = 5) -> float:
     """Epsilon from the k-distance heuristic.
 
@@ -40,19 +62,7 @@ def auto_epsilon(embedding: np.ndarray, min_points: int = 5) -> float:
     ValueError
         If there are fewer points than ``min_points + 1``.
     """
-    embedding = _validated(embedding)
-    n = embedding.shape[0]
-    if n <= min_points:
-        raise ValueError(
-            f"need more than {min_points} points to estimate epsilon, "
-            f"got {n}"
-        )
-    sq = (embedding**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embedding @ embedding.T)
-    np.clip(d2, 0.0, None, out=d2)
-    d2.sort(axis=1)
-    kth = np.sqrt(d2[:, min_points])  # column 0 is self (distance 0)
-    return float(np.quantile(kth, 0.90))
+    return _epsilon_from(_squared_distances(_validated(embedding)), min_points)
 
 
 def dbscan(
@@ -72,14 +82,14 @@ def dbscan(
     embedding = _validated(embedding)
     if min_points < 1:
         raise ValueError(f"min_points must be >= 1, got {min_points}")
+    n = embedding.shape[0]
+    # One distance matrix serves both the epsilon estimate and the
+    # neighbourhoods.
+    d2 = _squared_distances(embedding)
     if epsilon is None:
-        epsilon = auto_epsilon(embedding, min_points)
+        epsilon = _epsilon_from(d2, min_points)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n = embedding.shape[0]
-    sq = (embedding**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embedding @ embedding.T)
-    np.clip(d2, 0.0, None, out=d2)
     within = d2 <= epsilon**2
     neighbour_counts = within.sum(axis=1)  # includes self
     core = neighbour_counts >= min_points

@@ -8,15 +8,31 @@ and k-nearest pick — each returning the row indices of the selected points.
 :class:`SelectionSession` records the analyst's named selections, supports
 set algebra between them (union / intersection / difference — shift-click
 semantics) and is what the REST layer serialises back to the client.
+
+Geometry is validated at construction: NaN is rejected everywhere, and
+click centres and lasso vertices must be finite.  Infinite rectangle
+bounds and an infinite radius stay valid (they select without limit on
+that side), matching :class:`~repro.db.spatial.BBox`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.db.spatial import Polygon
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _reject_nan(name: str, value: float) -> None:
+    if math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
 
 
 def _validated_embedding(embedding: np.ndarray) -> np.ndarray:
@@ -38,6 +54,8 @@ class RectSelection:
     y_max: float
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            _reject_nan(name, getattr(self, name))
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("rectangle max corner precedes min corner")
 
@@ -61,6 +79,9 @@ class RadiusSelection:
     radius: float
 
     def __post_init__(self) -> None:
+        _require_finite("x", self.x)
+        _require_finite("y", self.y)
+        _reject_nan("radius", self.radius)
         if self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
@@ -75,6 +96,12 @@ class LassoSelection:
 
     def __init__(self, vertices: list[tuple[float, float]]) -> None:
         self.polygon = Polygon(vertices)
+        bad = np.flatnonzero(~np.isfinite(self.polygon.vertices).all(axis=1))
+        if bad.size:
+            x, y = self.polygon.vertices[bad[0]]
+            raise ValueError(
+                f"lasso vertex {int(bad[0])} must be finite, got ({x}, {y})"
+            )
 
     def apply(self, embedding: np.ndarray) -> np.ndarray:
         emb = _validated_embedding(embedding)
@@ -92,6 +119,8 @@ class KnnSelection:
     k: int
 
     def __post_init__(self) -> None:
+        _require_finite("x", self.x)
+        _require_finite("y", self.y)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 

@@ -8,7 +8,8 @@ loop), and exposes every analytical operation the REST API and the
 dashboard need:
 
 - typical patterns: ``embed`` → ``selection_session`` → ``pattern_of`` /
-  ``profile_of`` (views C and B);
+  ``profile_of`` (views C and B), and ``proposals`` for DBSCAN-suggested
+  selections;
 - shift patterns: ``density`` / ``shift`` / ``flows`` (view A);
 - baselines: ``kmeans_baseline`` for the S1d comparison.
 
@@ -30,6 +31,8 @@ import numpy as np
 from repro import obs
 from repro.cluster.kmeans import KMeansResult, kmeans, minibatch_kmeans
 from repro.core.reduction.dtw import MAX_DTW_ROWS_CEILING
+from repro.core.patterns import autodiscover
+from repro.core.patterns.autodiscover import Proposal
 from repro.core.patterns.labeling import (
     PatternLabel,
     label_customers,
@@ -82,6 +85,10 @@ class EmbeddingInfo:
     metric: str
     feature_kind: FeatureKind
     objective: float  # KL for t-SNE, stress for MDS
+    # The embedding-cache key it was computed under: every option that
+    # changes the coordinates.  Caches of answers derived from the
+    # embedding extend this key rather than rebuilding it.
+    key: tuple
 
 
 class VapSession:
@@ -104,7 +111,8 @@ class VapSession:
     max_embeddings:
         LRU bound on the embedding cache — embeddings are the big cached
         objects, so the "refine and re-explore" history is kept but does
-        not grow without limit.
+        not grow without limit.  The selection-proposal cache, one entry
+        per embedding and DBSCAN setting, shares the bound.
     max_densities:
         LRU bound on the density-grid cache (windowed KDE surfaces).
     breakers:
@@ -150,6 +158,13 @@ class VapSession:
                 on_evict=lambda key, value: self._evicted("embed"),
                 name="embed",
             )
+        )
+        self._proposals: SingleFlightCache[
+            tuple, list[tuple[Proposal, PatternLabel]]
+        ] = SingleFlightCache(
+            max_entries=max_embeddings,
+            on_evict=lambda key, value: self._evicted("proposals"),
+            name="proposals",
         )
         self._densities: SingleFlightCache[tuple, DensityGrid] = (
             SingleFlightCache(
@@ -449,6 +464,7 @@ class VapSession:
                         metric=metric,
                         feature_kind=kind,
                         objective=result.kl_divergence,
+                        key=key,
                     )
                 else:
                     mds_method = (
@@ -464,6 +480,7 @@ class VapSession:
                         metric=metric,
                         feature_kind=kind,
                         objective=result.stress,
+                        key=key,
                     )
             elapsed = self.metrics.clock() - start
             obs.get_slow_log().offer(
@@ -491,6 +508,41 @@ class VapSession:
         """Start an interactive selection session over an embedding."""
         info = embedding or self.embed()
         return SelectionSession(embedding=info.coords)
+
+    def proposals(
+        self, method: str = "tsne", min_points: int = 5, min_size: int = 5
+    ) -> tuple[list[tuple[Proposal, PatternLabel]], dict | bool]:
+        """DBSCAN selection proposals over the default embedding for
+        ``method``, largest first, each with its :meth:`pattern_of`
+        label; returns ``(proposals, degraded)``.
+
+        Cached with single-flight misses, keyed on the embedding's own
+        cache key plus ``min_points`` and ``min_size``.  The series the
+        embedding is computed from never changes after construction, so
+        no data end hour is part of the key.  When the embedding is a
+        breaker-open fallback, ``degraded`` is its served/requested-key
+        record and the proposals are computed from it but not cached.
+
+        Raises
+        ------
+        ValueError
+            For an unknown method, a non-positive ``min_points`` or
+            ``min_size``, or too few points to estimate epsilon.
+        """
+        info, degraded = self.embed_degradable(method=method)
+
+        def compute() -> list[tuple[Proposal, PatternLabel]]:
+            # Looked up on the module at call time, so a wrapper
+            # installed on ``autodiscover.propose_selections`` sees it.
+            found = autodiscover.propose_selections(
+                info.coords, min_points=min_points, min_size=min_size
+            )
+            return [(p, self.pattern_of(p.indices)) for p in found]
+
+        if degraded:
+            return compute(), degraded
+        key = (*info.key, min_points, min_size)
+        return self._flight(self._proposals, "proposals", key, compute), False
 
     def member_labels(self) -> list[PatternLabel]:
         """Template labels for every customer (population context), cached."""

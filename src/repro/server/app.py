@@ -46,7 +46,9 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       ``horizon``, ``method``
                                       (profile/seasonal/naive)
 ``GET  /api/proposals``               auto-discovered selection proposals
-                                      (DBSCAN over view C), labelled
+                                      (DBSCAN over view C), labelled;
+                                      params ``method``, ``min_points``,
+                                      ``min_size``; cached per embedding
 ``POST /api/jobs``                    submit heavy work asynchronously;
                                       body ``{"kind": embed|render|export,
                                       "params": {...}, "priority": n}``;
@@ -83,9 +85,11 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       (default), svg flamegraph, or json
 ====================================  =======================================
 
-Errors return ``{"error": ...}`` with 400/404/405 status.  The app is a
-plain WSGI callable — serve it with any WSGI server, or in-process through
-:class:`repro.server.client.TestClient`.
+Errors return ``{"error": ...}`` with 400/404/405 status.  Answers built
+from a breaker-open fallback (embedding, selection, proposals, density,
+shift) carry ``"degraded": true`` and the served vs requested cache key.
+The app is a plain WSGI callable — serve it with any WSGI server, or
+in-process through :class:`repro.server.client.TestClient`.
 
 Every request carries a correlation ID (``X-Request-ID`` in and out) and
 emits one structured JSON log line; see :mod:`repro.server.middleware`.
@@ -1046,21 +1050,25 @@ class VapApp:
             if isinstance(exc, ApiError):
                 raise
             raise ApiError(400, f"bad selection geometry: {exc}") from exc
-        info = request.session.embed(
+        info, degraded = request.session.embed_degradable(
             method=str(body.get("method", "tsne")),
         )
         indices = selector.apply(info.coords)
         if indices.size == 0:
-            return {"indices": [], "customer_ids": [], "count": 0}
-        pattern = request.session.pattern_of(indices)
-        return {
-            "indices": indices,
-            "customer_ids": request.session.customers_of(indices),
-            "count": int(indices.size),
-            "pattern": pattern.archetype.value,
-            "pattern_score": pattern.score,
-            "profile": request.session.profile_of(indices),
-        }
+            payload = {"indices": [], "customer_ids": [], "count": 0}
+        else:
+            pattern = request.session.pattern_of(indices)
+            payload = {
+                "indices": indices,
+                "customer_ids": request.session.customers_of(indices),
+                "count": int(indices.size),
+                "pattern": pattern.archetype.value,
+                "pattern_score": pattern.score,
+                "profile": request.session.profile_of(indices),
+            }
+        if degraded:
+            self._mark_degraded(payload, degraded)
+        return payload
 
     def _window(self, request: Request, prefix: str) -> HourWindow:
         start = request.param_int(f"{prefix}_start")
@@ -1197,29 +1205,28 @@ class VapApp:
 
     def proposals(self, request: Request) -> dict:
         """Auto-discovered selection proposals (DBSCAN over view C), each
-        labelled with its pattern; params ``min_points``, ``min_size``."""
-        from repro.core.patterns.autodiscover import propose_selections
-
-        info = request.session.embed(method=request.param_str("method", "tsne"))
-        proposals = propose_selections(
-            info.coords,
+        labelled with its pattern; params ``method``, ``min_points``,
+        ``min_size``."""
+        proposals, degraded = request.session.proposals(
+            method=request.param_str("method", "tsne"),
             min_points=request.param_int("min_points", 5),
             min_size=request.param_int("min_size", 5),
         )
-        out = []
-        for proposal in proposals:
-            label = request.session.pattern_of(proposal.indices)
-            out.append(
-                {
-                    "cluster_id": proposal.cluster_id,
-                    "size": proposal.size,
-                    "center": list(proposal.center),
-                    "indices": proposal.indices,
-                    "pattern": label.archetype.value,
-                    "pattern_score": label.score,
-                }
-            )
-        return {"proposals": out, "count": len(out)}
+        out = [
+            {
+                "cluster_id": proposal.cluster_id,
+                "size": proposal.size,
+                "center": list(proposal.center),
+                "indices": proposal.indices,
+                "pattern": label.archetype.value,
+                "pattern_score": label.score,
+            }
+            for proposal, label in proposals
+        ]
+        payload = {"proposals": out, "count": len(out)}
+        if degraded:
+            self._mark_degraded(payload, degraded)
+        return payload
 
     # ------------------------------------------------------------------
     # async jobs: submit → poll → artifact

@@ -112,6 +112,40 @@ class TestSelectors:
         idx = lasso.apply(embedding)
         assert idx.size == 4  # the 2x2 corner block
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: RectSelection(v, 0.0, 1.0, 1.0), "x_min"),
+            (lambda v: RectSelection(0.0, 0.0, 1.0, v), "y_max"),
+            (lambda v: RadiusSelection(v, 0.0, 1.0), "x"),
+            (lambda v: RadiusSelection(0.0, 0.0, v), "radius"),
+            (lambda v: KnnSelection(0.0, v, 3), "y"),
+            (
+                lambda v: LassoSelection([(0, 0), (1, 0), (v, 1), (0, 1)]),
+                "lasso vertex 2",
+            ),
+        ],
+    )
+    def test_nan_geometry_names_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build(float("nan"))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_centres_and_vertices_rejected(self, value):
+        for build in (
+            lambda: RadiusSelection(value, 0.0, 1.0),
+            lambda: KnnSelection(0.0, value, 3),
+            lambda: LassoSelection([(0, 0), (value, 0), (1, 1)]),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
+
+    def test_infinite_bounds_and_radius_stay_valid(self, embedding):
+        inf = float("inf")
+        assert RectSelection(-inf, -inf, inf, inf).apply(embedding).size == 25
+        assert RectSelection(2.0, -inf, inf, 0.0).apply(embedding).size == 3
+        assert RadiusSelection(0.0, 0.0, inf).apply(embedding).size == 25
+
     def test_selectors_validate_embedding_shape(self):
         with pytest.raises(ValueError, match="\\(n, 2\\)"):
             RectSelection(0, 0, 1, 1).apply(np.ones((3, 3)))

@@ -189,6 +189,41 @@ class TestApi:
         assert client.post("/api/selection", json={"type": "knn"}).status == 400
         assert client.post("/api/selection", json=[1, 2]).status == 400
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ('{"type":"knn","x":NaN,"y":0,"k":3}', "x"),
+            ('{"type":"knn","x":Infinity,"y":0,"k":3}', "x"),
+            ('{"type":"radius","x":0,"y":-Infinity,"radius":1}', "y"),
+            ('{"type":"radius","x":0,"y":0,"radius":NaN}', "radius"),
+            ('{"type":"rect","x_min":0,"y_min":NaN,"x_max":1,"y_max":1}', "y_min"),
+            (
+                '{"type":"lasso","vertices":[[0,0],[1,0],[1,NaN],[0,1]]}',
+                "lasso vertex 2",
+            ),
+        ],
+    )
+    def test_non_finite_geometry_is_400_naming_the_field(
+        self, client, body, field
+    ):
+        # Raw bytes: the client's encoder would turn NaN/inf into null.
+        response = client._request("POST", "/api/selection", body.encode())
+        assert response.status == 400
+        error = response.json["error"]
+        assert error.startswith("bad selection geometry: ")
+        assert field in error
+
+    def test_infinite_rect_bounds_select_everything(self, client):
+        response = client._request(
+            "POST",
+            "/api/selection",
+            b'{"type":"rect","x_min":-Infinity,"y_min":-Infinity,'
+            b'"x_max":Infinity,"y_max":Infinity}',
+        )
+        assert response.status == 200
+        emb = client.get("/api/embedding").json
+        assert response.json["count"] == len(emb["points"])
+
     def test_density_grid(self, client):
         data = client.get("/api/density?t_start=0&t_end=24").json
         assert data["nx"] > 0

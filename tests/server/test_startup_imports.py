@@ -64,3 +64,15 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy") or "none")
 """
     )
     assert out == ["none"]
+
+
+def test_proposals_request_imports_no_scipy():
+    out = _run(
+        """
+# A miss (DBSCAN runs), then a hit from the proposals cache.
+assert client.get("/api/proposals?min_points=3&min_size=2").ok
+assert client.get("/api/proposals?min_points=3&min_size=2").ok
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy") or "none")
+"""
+    )
+    assert out == ["none"]

@@ -455,3 +455,202 @@ class TestGranularitySweepCache:
                 session.granularity_sweep(use_rollups=False),
                 fresh.granularity_sweep(use_rollups=False),
             )
+
+
+# ----------------------------------------------------------------------
+# Selection proposals: cached per embedding and DBSCAN setting.  CI
+# re-runs this class under a seeded ``kernel.tsne`` fault plan, so the
+# embeddings it needs are computed with the plan disarmed.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def proposals_city():
+    from repro.data.generator.simulate import CityConfig, generate_city
+
+    return generate_city(CityConfig(n_customers=30, n_days=7, seed=29))
+
+
+def _warm_session(city, **kwargs):
+    """A session whose default t-SNE and MDS embeddings are cached."""
+    from repro.resilience import faults
+
+    session = VapSession.from_city(city, **kwargs)
+    with faults.disarmed():
+        session.embed()
+        session.embed(method="mds")
+    return session
+
+
+def _uncached_body(session, method="tsne", min_points=5, min_size=5) -> bytes:
+    """``/api/proposals`` composed without the proposals cache: DBSCAN and
+    one label per proposal on every call."""
+    from repro.core.patterns.autodiscover import propose_selections
+    from repro.server import json_codec
+
+    try:
+        found = propose_selections(
+            session.embed(method=method).coords,
+            min_points=min_points,
+            min_size=min_size,
+        )
+    except ValueError as exc:
+        return json_codec.dumps({"error": str(exc)}).encode("utf-8")
+    out = []
+    for proposal in found:
+        label = session.pattern_of(proposal.indices)
+        out.append(
+            {
+                "cluster_id": proposal.cluster_id,
+                "size": proposal.size,
+                "center": list(proposal.center),
+                "indices": proposal.indices,
+                "pattern": label.archetype.value,
+                "pattern_score": label.score,
+            }
+        )
+    return json_codec.dumps({"proposals": out, "count": len(out)}).encode("utf-8")
+
+
+class TestProposalsCache:
+    def test_repeat_is_a_hit_without_dbscan(self, proposals_city, monkeypatch):
+        from repro.core.patterns import autodiscover
+        from repro.obs import MetricsRegistry
+        from repro.server import TestClient, VapApp
+
+        registry = MetricsRegistry()
+        session = _warm_session(proposals_city, metrics=registry)
+        client = TestClient(VapApp(session))
+        calls = []
+        real = autodiscover.propose_selections
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(autodiscover, "propose_selections", counting)
+        first = client.get("/api/proposals")
+        assert first.status == 200 and first.json["count"] > 0
+        assert len(calls) == 1
+        again = client.get("/api/proposals")
+        assert again.body == first.body
+        assert len(calls) == 1
+        hits = registry.counter(
+            "pipeline_cache_total", op="proposals", result="hit"
+        )
+        assert hits.value == 1
+
+    def test_concurrent_misses_run_dbscan_once(
+        self, proposals_city, monkeypatch
+    ):
+        import sys
+        import threading
+
+        from repro.core.patterns import autodiscover
+
+        session = _warm_session(proposals_city)
+        calls = []
+        real = autodiscover.propose_selections
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(autodiscover, "propose_selections", counting)
+        n = 8
+        barrier = threading.Barrier(n)
+        results = [None] * n
+
+        def ask(i):
+            barrier.wait(timeout=10.0)
+            results[i] = session.proposals(min_size=2)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert all(result is results[0] for result in results)
+
+    def test_result_changing_options_get_distinct_entries(self, proposals_city):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        session = _warm_session(proposals_city, metrics=registry)
+        variants = [
+            {},
+            {"method": "mds"},
+            {"min_points": 3},
+            {"min_size": 2},
+        ]
+        results = [session.proposals(**kw) for kw in variants]
+        assert len(session._proposals) == len(variants)
+        for kw, (result, degraded) in zip(variants, results):
+            assert degraded is False
+            assert session.proposals(**kw)[0] is result
+        counts = {
+            outcome: registry.counter(
+                "pipeline_cache_total", op="proposals", result=outcome
+            ).value
+            for outcome in ("hit", "miss")
+        }
+        assert counts == {"hit": len(variants), "miss": len(variants)}
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "",
+            "min_points=3",
+            "min_points=8",
+            "min_size=2",
+            "min_size=20",
+            "method=mds",
+            "min_size=0",
+        ],
+    )
+    def test_body_equals_the_uncached_path(self, proposals_city, query):
+        from urllib.parse import parse_qsl
+
+        from repro.server import TestClient, VapApp
+
+        session = _warm_session(proposals_city)
+        client = TestClient(VapApp(session))
+        params = {
+            k: (v if k == "method" else int(v)) for k, v in parse_qsl(query)
+        }
+        want = _uncached_body(session, **params)
+        miss = client.get(f"/api/proposals?{query}")
+        hit = client.get(f"/api/proposals?{query}")
+        assert miss.status == (400 if query == "min_size=0" else 200)
+        assert miss.body == want
+        assert hit.body == want
+
+    def test_lru_bound_is_the_embedding_bound(self, proposals_city):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        session = _warm_session(
+            proposals_city, metrics=registry, max_embeddings=2
+        )
+        for min_size in (2, 3, 4):
+            session.proposals(min_size=min_size)
+        assert len(session._proposals) == 2
+        evictions = registry.counter(
+            "pipeline_cache_evictions_total", cache="proposals"
+        )
+        assert evictions.value == 1
+
+    def test_expired_deadline_still_gets_503(self, proposals_city):
+        from repro.server import TestClient, VapApp
+
+        session = _warm_session(proposals_city)
+        session.proposals()  # cached: the request would be a hit
+        client = TestClient(VapApp(session, deadline_seconds=1e-9))
+        response = client.get("/api/proposals")
+        assert response.status == 503
+        assert "deadline" in response.json["error"]
