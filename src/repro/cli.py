@@ -505,9 +505,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     def workload() -> None:
         # Loop the heavy endpoints until the sampling window closes so
         # the profile actually contains kernel frames, not idle waits.
+        # A new n_iter each round is a new embedding (a new seed would
+        # be a cache hit: exact t-SNE with PCA init never reads it).
         seed = 0
         while not stop.is_set():
-            session.embed(n_iter=50, seed=seed)
+            session.embed(n_iter=50 + seed)
             session.kmeans_baseline(k=4, seed=seed)
             seed += 1
 

@@ -24,13 +24,12 @@ waits are capped by the request deadline when one is bound (see
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import obs
 from repro.cluster.kmeans import KMeansResult, kmeans, minibatch_kmeans
-from repro.core.reduction.dtw import MAX_DTW_ROWS_CEILING
 from repro.core.patterns import autodiscover
 from repro.core.patterns.autodiscover import Proposal
 from repro.core.patterns.labeling import (
@@ -40,6 +39,7 @@ from repro.core.patterns.labeling import (
 )
 from repro.core.patterns.selection import SelectionSession
 from repro.core.deadline import DeadlineExceeded, current_deadline
+from repro.core.params import EmbedParams
 from repro.core.reduction.mds import mds
 from repro.core.reduction.tsne import tsne
 from repro.core.shift.flow import FlowArrow, ShiftField, flow_vectors, major_flows
@@ -64,8 +64,6 @@ from repro.preprocess.normalize import normalize_matrix
 from repro.preprocess.quality import DataQualityReport, assess_quality
 from repro.resilience.breaker import BreakerOpen, CircuitBreaker
 
-EMBED_METHODS = ("tsne", "mds", "mds_classical")
-
 # Kernel operations guarded by a circuit breaker (and therefore able to
 # degrade to their last-good result when the breaker is open).
 BREAKER_OPS = ("embed", "density")
@@ -85,10 +83,6 @@ class EmbeddingInfo:
     metric: str
     feature_kind: FeatureKind
     objective: float  # KL for t-SNE, stress for MDS
-    # The embedding-cache key it was computed under: every option that
-    # changes the coordinates.  Caches of answers derived from the
-    # embedding extend this key rather than rebuilding it.
-    key: tuple
 
 
 class VapSession:
@@ -346,68 +340,36 @@ class VapSession:
 
         return self._flight(self._features, "features", kind, compute)
 
-    def embed(
-        self,
-        method: str = "tsne",
-        metric: str = "pearson",
-        feature_kind: FeatureKind | None = None,
-        perplexity: float = 30.0,
-        n_iter: int = 500,
-        seed: int = 0,
-        tsne_method: str = "auto",
-        theta: float = 0.5,
-        workers: int | None = None,
-        n_landmarks: int | None = None,
-        dtw_max_rows: int | None = None,
-    ) -> EmbeddingInfo:
-        """Reduce the series to 2-D; cached per parameter set.
-
-        ``tsne_method`` selects the t-SNE gradient engine (``"auto"``,
-        ``"exact"``, ``"bh"`` for Barnes–Hut at opening angle ``theta``,
-        or ``"landmark"`` for the out-of-core engine embedding
-        ``n_landmarks`` representatives); every knob that changes the
-        result is part of the cache key so variants never alias.
-        ``workers`` fans blockwise kernel stages out on the shared pool;
-        results are worker-count independent, so it is not part of the
-        key and requests differing only in ``workers`` share one run.
-        ``dtw_max_rows`` lifts the DTW pairwise ceiling, capped at
-        ``MAX_DTW_ROWS_CEILING``.
+    def embed(self, workers: int | None = None, **options) -> EmbeddingInfo:
+        """Reduce the series to 2-D; ``options`` are
+        :class:`~repro.core.params.EmbedParams` fields (see
+        :meth:`embed_spec`).
 
         Raises
         ------
         ValueError
-            For an unknown method or an out-of-range ``dtw_max_rows``.
+            For an invalid option.
         """
-        info, _ = self.embed_degradable(
-            method=method,
-            metric=metric,
-            feature_kind=feature_kind,
-            perplexity=perplexity,
-            n_iter=n_iter,
-            seed=seed,
-            tsne_method=tsne_method,
-            theta=theta,
-            workers=workers,
-            n_landmarks=n_landmarks,
-            dtw_max_rows=dtw_max_rows,
-        )
+        info, _ = self.embed_spec(EmbedParams(**options), workers=workers)
         return info
 
     def embed_degradable(
-        self,
-        method: str = "tsne",
-        metric: str = "pearson",
-        feature_kind: FeatureKind | None = None,
-        perplexity: float = 30.0,
-        n_iter: int = 500,
-        seed: int = 0,
-        tsne_method: str = "auto",
-        theta: float = 0.5,
-        workers: int | None = None,
-        n_landmarks: int | None = None,
-        dtw_max_rows: int | None = None,
+        self, workers: int | None = None, **options
     ) -> tuple[EmbeddingInfo, dict | bool]:
-        """:meth:`embed`, reporting degradation: ``(info, degraded)``.
+        """:meth:`embed`, reporting degradation: ``(info, degraded)``."""
+        return self.embed_spec(EmbedParams(**options), workers=workers)
+
+    def embed_spec(
+        self, params: EmbedParams, workers: int | None = None
+    ) -> tuple[EmbeddingInfo, dict | bool]:
+        """The embedding ``params`` describes; returns ``(info, degraded)``.
+
+        Cached per ``params.key(n)``: the resolved engine plus the
+        options it reads, so requests whose runs would be byte-identical
+        (another ``seed`` under exact t-SNE, perplexities clamped alike,
+        any t-SNE option under MDS) share one run.  ``workers`` fans
+        blockwise kernel stages out on the shared pool; results are
+        worker-count independent, so it is not part of the key either.
 
         ``degraded`` is falsy on the healthy path.  When the embed
         circuit breaker refused the computation and ``info`` is the
@@ -418,70 +380,28 @@ class VapSession:
 
         Raises
         ------
-        ValueError
-            For an unknown method.
         BreakerOpen
             Breaker open with no last-good embedding to fall back to.
         """
-        if method not in EMBED_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; pick one of {EMBED_METHODS}"
-            )
-        if dtw_max_rows is not None and not (
-            1 <= int(dtw_max_rows) <= MAX_DTW_ROWS_CEILING
-        ):
-            raise ValueError(
-                f"dtw_max_rows must be in [1, {MAX_DTW_ROWS_CEILING}], "
-                f"got {dtw_max_rows}"
-            )
-        kind = feature_kind or self.feature_kind
-        key = (
-            method, metric, kind, perplexity, n_iter, seed, tsne_method,
-            theta, n_landmarks, dtw_max_rows,
-        )
+        if params.feature_kind is None:
+            params = replace(params, feature_kind=self.feature_kind)
+        method, metric = params.method, params.metric
 
         def compute() -> EmbeddingInfo:
             start = self.metrics.clock()
             with obs.span("pipeline.embed", method=method, metric=metric), \
                     self.metrics.timer("pipeline_seconds", op="embed"):
-                feats = self.features(kind)
+                feats = self.features(params.feature_kind)
                 if method == "tsne":
-                    result = tsne(
-                        feats,
-                        metric=metric,
-                        perplexity=perplexity,
-                        n_iter=n_iter,
-                        seed=seed,
-                        method=tsne_method,
-                        theta=theta,
-                        workers=workers,
-                        n_landmarks=n_landmarks,
-                        dtw_max_rows=dtw_max_rows,
-                    )
-                    info = EmbeddingInfo(
-                        coords=result.embedding,
-                        method=method,
-                        metric=metric,
-                        feature_kind=kind,
-                        objective=result.kl_divergence,
-                        key=key,
-                    )
+                    result = tsne(feats, workers=workers, **params.tsne_options())
+                    objective = result.kl_divergence
                 else:
-                    mds_method = (
-                        "classical" if method == "mds_classical" else "smacof"
-                    )
                     result = mds(
-                        feats, metric=metric, method=mds_method,
-                        workers=workers, dtw_max_rows=dtw_max_rows,
+                        feats, metric=metric,
+                        method="classical" if method == "mds_classical" else "smacof",
+                        workers=workers, dtw_max_rows=params.dtw_max_rows,
                     )
-                    info = EmbeddingInfo(
-                        coords=result.embedding,
-                        method=method,
-                        metric=metric,
-                        feature_kind=kind,
-                        objective=result.stress,
-                        key=key,
-                    )
+                    objective = result.stress
             elapsed = self.metrics.clock() - start
             obs.get_slow_log().offer(
                 "pipeline.embed", elapsed, method=method, metric=metric
@@ -490,17 +410,22 @@ class VapSession:
                 "pipeline.embed.compute",
                 method=method,
                 metric=metric,
-                perplexity=perplexity,
-                n_iter=n_iter,
-                seed=seed,
+                perplexity=params.perplexity,
+                n_iter=params.n_iter,
+                seed=params.seed,
                 duration_ms=round(elapsed * 1000.0, 3),
             )
-            return info
+            return EmbeddingInfo(
+                coords=result.embedding,
+                method=method,
+                metric=metric,
+                feature_kind=params.feature_kind,
+                objective=objective,
+            )
 
-        value, degraded = self._flight_degradable(
-            self._embeddings, "embed", key, compute
+        return self._flight_degradable(
+            self._embeddings, "embed", params.key(len(self.series)), compute
         )
-        return value, degraded
 
     def selection_session(
         self, embedding: EmbeddingInfo | None = None
@@ -516,8 +441,9 @@ class VapSession:
         ``method``, largest first, each with its :meth:`pattern_of`
         label; returns ``(proposals, degraded)``.
 
-        Cached with single-flight misses, keyed on the embedding's own
-        cache key plus ``min_points`` and ``min_size``.  The series the
+        Cached with single-flight misses, keyed on the requested
+        embedding's :meth:`~repro.core.params.EmbedParams.key` plus
+        ``min_points`` and ``min_size``.  The series the
         embedding is computed from never changes after construction, so
         no data end hour is part of the key.  When the embedding is a
         breaker-open fallback, ``degraded`` is its served/requested-key
@@ -529,7 +455,8 @@ class VapSession:
             For an unknown method, a non-positive ``min_points`` or
             ``min_size``, or too few points to estimate epsilon.
         """
-        info, degraded = self.embed_degradable(method=method)
+        params = EmbedParams(method=method, feature_kind=self.feature_kind)
+        info, degraded = self.embed_spec(params)
 
         def compute() -> list[tuple[Proposal, PatternLabel]]:
             # Looked up on the module at call time, so a wrapper
@@ -541,7 +468,7 @@ class VapSession:
 
         if degraded:
             return compute(), degraded
-        key = (*info.key, min_points, min_size)
+        key = (*params.key(len(self.series)), min_points, min_size)
         return self._flight(self._proposals, "proposals", key, compute), False
 
     def member_labels(self) -> list[PatternLabel]:

@@ -29,7 +29,10 @@ n² distance matrix, which is what makes n = 50k practical.
 
 ``method="auto"`` (the default) picks Barnes–Hut above
 ``BH_THRESHOLD`` points and the exact engine below it (never landmark —
-that approximation is explicit opt-in).
+that approximation is explicit opt-in).  :func:`resolve_engine` and
+:func:`clamp_perplexity` are that choice and the perplexity guardrail;
+the embed cache key (:class:`repro.core.params.EmbedParams`) calls the
+same two functions, so it cannot disagree with what the kernel runs.
 
 Distances default to the paper's Pearson metric; any precomputed
 dissimilarity is accepted too.
@@ -84,6 +87,27 @@ DEFAULT_LANDMARKS = 1024
 # Neighbours used when interpolating non-landmark points into the
 # landmark embedding.
 _LANDMARK_KNN = 8
+
+
+def resolve_engine(method: str, n_points: int, n_components: int = 2) -> str:
+    """The engine :func:`tsne` runs for ``method`` on ``n_points`` rows.
+
+    ``"auto"`` becomes ``"bh"`` from ``BH_THRESHOLD`` points up (2-D
+    only) and ``"exact"`` below; explicit engines are returned as given.
+    """
+    if method != "auto":
+        return method
+    if n_points >= BH_THRESHOLD and n_components == 2:
+        return "bh"
+    return "exact"
+
+
+def clamp_perplexity(perplexity: float, n_points: int) -> float:
+    """The perplexity the exact and Barnes–Hut engines use on
+    ``n_points`` rows: at most ``(n - 1) / 3`` (but never below 2), the
+    standard small-data guardrail.  Landmark runs clamp against their
+    landmark count instead, inside the inner run."""
+    return float(min(perplexity, max(2.0, (n_points - 1) / 3.0)))
 
 
 @dataclass(slots=True)
@@ -681,7 +705,8 @@ def tsne(
     PCA with only a distance matrix degrades to random init — the run
     logs a structured warning and records the fallback in
     ``TSNEResult.effective_init``.  Perplexity is clamped to
-    ``(n - 1) / 3`` when the data set is small, the standard guardrail.
+    ``(n - 1) / 3`` when the data set is small, the standard guardrail
+    (:func:`clamp_perplexity`).
 
     ``method`` selects the gradient engine: ``"exact"`` (dense, ground
     truth), ``"bh"`` (Barnes–Hut at accuracy knob ``theta``, 2-D only),
@@ -689,7 +714,15 @@ def tsne(
     Barnes–Hut, interpolate the rest — the only engine that never
     materialises the n² distance matrix; explicit opt-in, 2-D only) or
     ``"auto"`` (Barnes–Hut from ``BH_THRESHOLD`` points up; never
-    landmark).
+    landmark; see :func:`resolve_engine`).
+
+    Not every option reaches every engine.  ``theta`` is read only by
+    Barnes–Hut and landmark runs — including ``"auto"`` from
+    ``BH_THRESHOLD`` points up.  ``seed`` is read only by landmark
+    selection and by random init, so under PCA init (the default, given
+    features) it matters only for ``method="landmark"``.
+    ``n_landmarks`` is read only by landmark runs, ``dtw_max_rows`` only
+    by ``metric="dtw"``.
 
     ``workers`` (default ``REPRO_WORKERS``, else serial) fans the
     distance and perplexity stages out over the shared-memory pool;
@@ -774,13 +807,11 @@ def tsne(
         raise ValueError(
             f"Barnes–Hut t-SNE is 2-D only, got n_components={n_components}"
         )
-    use_bh = method == "bh" or (
-        method == "auto" and n >= BH_THRESHOLD and n_components == 2
-    )
-    engine = "bh" if use_bh else "exact"
+    engine = resolve_engine(method, n, n_components)
+    use_bh = engine == "bh"
     if use_bh:
         _check_bh_checkpoint_alignment(checkpoint_every, resume_from)
-    perplexity = float(min(perplexity, max(2.0, (n - 1) / 3.0)))
+    perplexity = clamp_perplexity(perplexity, n)
 
     registry = obs.get_registry()
     with obs.span(

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.pipeline import MAX_DTW_ROWS_CEILING, EMBED_METHODS, VapSession
+from repro.core.params import EmbedParams
+from repro.core.pipeline import VapSession
 from repro.core.reduction.tsne import tsne
 from repro.data.generator.city import CityLayout
 from repro.data.timeseries import HourWindow
@@ -67,15 +68,17 @@ class JobContext:
     on_checkpoint: Callable[[int], None] | None = None
 
 
-def _embed_fingerprint(params: dict, feats: np.ndarray) -> str:
-    """Stable identity of an embedding computation: its parameters plus
-    a digest of the exact feature matrix — a checkpoint from different
-    data or settings must never be resumed."""
+def _embed_fingerprint(key: tuple, feats: np.ndarray) -> str:
+    """Stable identity of an embedding computation: its
+    :meth:`~repro.core.params.EmbedParams.key` plus a digest of the
+    exact feature matrix — a checkpoint from different data or from
+    settings that change the result must never be resumed, while one
+    from settings that do not (``workers``, an unread ``seed``) may."""
     feat_digest = hashlib.sha256(
         np.ascontiguousarray(feats).tobytes()
     ).hexdigest()
     return json.dumps(
-        {"params": params, "features_sha256": feat_digest, "shape": list(feats.shape)},
+        {"key": key, "features_sha256": feat_digest, "shape": list(feats.shape)},
         sort_keys=True,
     )
 
@@ -83,35 +86,21 @@ def _embed_fingerprint(params: dict, feats: np.ndarray) -> str:
 def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, str]:
     """Compute an embedding asynchronously, checkpointing the descent.
 
-    Accepts the same parameters as ``GET /api/embedding`` and produces
+    Accepts the same parameters as ``GET /api/embedding`` (parsed by
+    :meth:`~repro.core.params.EmbedParams.parse`) and produces
     coordinates bit-identical to the synchronous
     :meth:`~repro.core.pipeline.VapSession.embed` for the same
-    parameters and seed.  Checkpoints fire every
-    ``checkpoint_every`` iterations (t-SNE engines only); on restart the
-    handler resumes from the last fingerprint-matching checkpoint.
+    parameters.  Checkpoints fire every ``checkpoint_every`` iterations
+    (t-SNE engines only); on restart the handler resumes from the last
+    fingerprint-matching checkpoint.
     """
-    params = dict(job.params)
-    method = str(params.get("method", "tsne"))
-    if method not in EMBED_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; pick one of {EMBED_METHODS}"
-        )
-    dtw_max_rows = params.get("dtw_max_rows")
-    if dtw_max_rows is not None and not (
-        1 <= int(dtw_max_rows) <= MAX_DTW_ROWS_CEILING
-    ):
-        raise ValueError(
-            f"dtw_max_rows must be in [1, {MAX_DTW_ROWS_CEILING}], "
-            f"got {dtw_max_rows}"
-        )
+    params, workers = EmbedParams.parse(job.params)
     ctx.report(0.02, "extracting features")
     feats = session.features()
-    metric = str(params.get("metric", "pearson"))
-    seed = int(params.get("seed", 0))
-    n_iter = int(params.get("n_iter", 500))
+    n_iter = params.n_iter
 
-    if method == "tsne":
-        fingerprint = _embed_fingerprint(params, feats)
+    if params.method == "tsne":
+        fingerprint = _embed_fingerprint(params.key(len(feats)), feats)
         resume = load_checkpoint(ctx.checkpoint_path, fingerprint)
         if resume is not None:
             ctx.report(
@@ -137,18 +126,11 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
 
         result = tsne(
             feats,
-            metric=metric,
-            perplexity=float(params.get("perplexity", 30.0)),
-            n_iter=n_iter,
-            seed=seed,
-            method=str(params.get("tsne_method", "auto")),
-            theta=float(params.get("theta", 0.5)),
-            workers=params.get("workers"),
-            n_landmarks=params.get("n_landmarks"),
-            dtw_max_rows=None if dtw_max_rows is None else int(dtw_max_rows),
+            workers=workers,
             checkpoint_every=ctx.checkpoint_every,
             checkpoint_fn=checkpoint_fn,
             resume_from=resume,
+            **params.tsne_options(),
         )
         coords = result.embedding
         objective = result.kl_divergence
@@ -156,13 +138,7 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
     else:
         # MDS runs have no iterative checkpoint; compute through the
         # session (single-flight cached) like the synchronous endpoint.
-        info = session.embed(
-            method=method,
-            metric=metric,
-            seed=seed,
-            workers=params.get("workers"),
-            dtw_max_rows=None if dtw_max_rows is None else int(dtw_max_rows),
-        )
+        info, _ = session.embed_spec(params, workers=workers)
         coords = info.coords
         objective = info.objective
         trace = []

@@ -11,9 +11,15 @@ Endpoints mirror what the paper's three views request from the logic layer:
 ``GET  /api/customers/<id>``          one customer's metadata
 ``GET  /api/customers/<id>/readings`` readings; ``start``/``end`` hour params
 ``GET  /api/embedding``               view C coordinates; params ``method``,
-                                      ``metric``, ``perplexity``, ``seed``,
-                                      ``tsne_method`` (auto/exact/bh) and
-                                      Barnes–Hut ``theta``
+                                      ``metric``, ``perplexity``,
+                                      ``n_iter``, ``tsne_method``
+                                      (auto/exact/bh/landmark), ``theta``
+                                      (read by bh and landmark only,
+                                      incl. auto at n >= BH_THRESHOLD),
+                                      ``seed`` and ``n_landmarks``
+                                      (landmark only), ``dtw_max_rows``
+                                      (dtw only), ``workers``; one run
+                                      per distinct ``EmbedParams.key``
 ``POST /api/selection``               run a selection gesture; body gives
                                       ``type`` (rect/radius/knn/lasso) and
                                       geometry; returns indices, customer
@@ -114,6 +120,7 @@ from repro.core.patterns.selection import (
     RadiusSelection,
     RectSelection,
 )
+from repro.core.params import EmbedParams, parse_option
 from repro.core.pipeline import VapSession
 from repro.core.shift.flow import major_flows
 from repro.data.generator.city import CityLayout
@@ -204,47 +211,21 @@ class Request:
             except ValueError as exc:
                 raise ApiError(400, f"malformed JSON body: {exc}") from exc
 
-    def param_int(self, name: str, default: int | None = None) -> int:
+    def _param(self, name: str, kind: type, default):
         if name not in self.query:
             if default is None:
                 raise ApiError(400, f"missing required parameter {name!r}")
             return default
-        try:
-            return int(self.query[name])
-        except ValueError:
-            raise ApiError(400, f"parameter {name!r} must be an integer") from None
+        return parse_option(name, kind, self.query[name])
+
+    def param_int(self, name: str, default: int | None = None) -> int:
+        return self._param(name, int, default)
 
     def param_float(self, name: str, default: float | None = None) -> float:
-        if name not in self.query:
-            if default is None:
-                raise ApiError(400, f"missing required parameter {name!r}")
-            return default
-        try:
-            value = float(self.query[name])
-        except ValueError:
-            raise ApiError(400, f"parameter {name!r} must be a number") from None
-        # "nan"/"inf" parse as floats but poison every downstream kernel
-        # (a NaN bandwidth slips past > 0 guards and yields a 200 full of
-        # NaNs), so the request layer rejects them outright.
-        if not math.isfinite(value):
-            raise ApiError(
-                400, f"parameter {name!r} must be a finite number"
-            )
-        return value
-
-    def param_opt_int(self, name: str) -> int | None:
-        """Optional integer parameter: ``None`` when absent, 400 when
-        present but unparsable."""
-        if name not in self.query:
-            return None
-        return self.param_int(name)
+        return self._param(name, float, default)
 
     def param_str(self, name: str, default: str | None = None) -> str:
-        if name not in self.query:
-            if default is None:
-                raise ApiError(400, f"missing required parameter {name!r}")
-            return default
-        return self.query[name]
+        return self._param(name, str, default)
 
 
 class VapApp:
@@ -979,21 +960,8 @@ class VapApp:
         }
 
     def embedding(self, request: Request) -> dict:
-        workers = request.param_opt_int("workers")
-        if workers is not None and workers < 1:
-            raise ApiError(400, "parameter 'workers' must be >= 1")
-        info, degraded = request.session.embed_degradable(
-            method=request.param_str("method", "tsne"),
-            metric=request.param_str("metric", "pearson"),
-            perplexity=request.param_float("perplexity", 30.0),
-            n_iter=request.param_int("n_iter", 500),
-            seed=request.param_int("seed", 0),
-            tsne_method=request.param_str("tsne_method", "auto"),
-            theta=request.param_float("theta", 0.5),
-            workers=workers,
-            n_landmarks=request.param_opt_int("n_landmarks"),
-            dtw_max_rows=request.param_opt_int("dtw_max_rows"),
-        )
+        params, workers = EmbedParams.parse(request.query)
+        info, degraded = request.session.embed_spec(params, workers=workers)
         payload = {
             "method": info.method,
             "metric": info.metric,
@@ -1247,6 +1215,8 @@ class VapApp:
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ApiError(400, '"params" must be a JSON object')
+        if kind == "embed":
+            EmbedParams.parse(params)  # a bad option is a 400, not a failed job
         try:
             priority = int(body.get("priority", 0))
         except (TypeError, ValueError):

@@ -87,7 +87,9 @@ class TestDegradedServedKey:
         warm = client.get("/api/embedding?method=tsne&n_iter=30&seed=1")
         assert warm.ok
         _trip(session.breakers["embed"])
-        response = client.get("/api/embedding?method=tsne&n_iter=30&seed=2")
+        # Another n_iter is another embedding (another seed would be the
+        # same one: exact t-SNE with PCA init never reads it).
+        response = client.get("/api/embedding?method=tsne&n_iter=31")
         assert response.status == 200
         payload = _body(response)
         assert payload["degraded"] is True

@@ -84,7 +84,7 @@ class TestFallbackEmbeddingIsFlagged:
             assert body["degraded"] is True
             served = body["degraded_served"]
             assert served["exact"] is False
-            assert "5, 30" not in served["requested_key"]
+            assert served["requested_key"] != served["served_key"]
             assert served["served_key"] == embedding["degraded_served"]["served_key"]
         assert client.post("/api/selection", json=FAR_RECT).json["count"] == 0
         # Computed from the seed-5 embedding, so not the default answer,
@@ -135,9 +135,10 @@ def test_injected_faults_never_leak_another_embedding(city, reference):
     seen = {"exact": 0, "degraded": 0, "shed": 0}
     with plan:
         for step in range(40):
-            # A new parameter set per step: a t-SNE run that may fault,
-            # and (max_embeddings=1) evicts the default embedding.
-            client.get(f"/api/embedding?seed={100 + step}&n_iter=20")
+            # A new parameter set per step (n_iter changes the result; a
+            # seed would not): a t-SNE run that may fault, and
+            # (max_embeddings=1) evicts the default embedding.
+            client.get(f"/api/embedding?n_iter={20 + step}")
             for kind, response in (
                 ("proposals", client.get("/api/proposals")),
                 ("knn", client.post("/api/selection", json=KNN)),

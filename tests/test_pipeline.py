@@ -198,15 +198,17 @@ class TestCacheBehaviour:
         session = VapSession.from_city(
             tiny_city, metrics=registry, max_embeddings=2
         )
-        a = session.embed(n_iter=20, perplexity=4.0, seed=0)
-        session.embed(n_iter=20, perplexity=4.0, seed=1)
-        session.embed(n_iter=20, perplexity=4.0, seed=2)  # evicts seed=0
+        # n_iter changes the result, so each call is its own entry (a
+        # seed would not: exact t-SNE with PCA init never reads it).
+        a = session.embed(n_iter=20, perplexity=4.0)
+        session.embed(n_iter=21, perplexity=4.0)
+        session.embed(n_iter=22, perplexity=4.0)  # evicts n_iter=20
         evictions = registry.counter(
             "pipeline_cache_evictions_total", cache="embed"
         )
         assert evictions.value == 1
-        # seed=0 was evicted: asking again recomputes (fresh object).
-        b = session.embed(n_iter=20, perplexity=4.0, seed=0)
+        # n_iter=20 was evicted: asking again recomputes (fresh object).
+        b = session.embed(n_iter=20, perplexity=4.0)
         assert b is not a
 
     def test_density_cached_per_window(self, tiny_city):
