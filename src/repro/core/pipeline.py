@@ -666,6 +666,21 @@ class VapSession:
         BreakerOpen
             Breaker open with no last-good density to fall back to.
         """
+        return self._density_at(
+            window, self.db.time_span, bandwidth_m, customer_ids, method
+        )
+
+    def _density_at(
+        self,
+        window: HourWindow,
+        span: HourWindow,
+        bandwidth_m: float | None,
+        customer_ids: list[int] | None,
+        method: str,
+    ) -> tuple[DensityGrid, dict | bool]:
+        """:meth:`density_degradable` over ``window`` clipped to ``span``,
+        a data span read once by the caller (so one request's densities
+        all see the same end hour)."""
         spec = self.grid()
         ids_key = None if customer_ids is None else tuple(
             int(cid) for cid in customer_ids
@@ -673,7 +688,6 @@ class VapSession:
         # Key on the window clipped to the data span, and compute over
         # exactly that window: a window reaching past the end hour then
         # gets a new key (a miss) once more of it has landed.
-        span = self.db.time_span
         lo = max(window.start_hour, span.start_hour)
         landed = HourWindow(lo, max(lo, min(window.end_hour, span.end_hour)))
         key = (
@@ -723,15 +737,18 @@ class VapSession:
 
         ``degraded`` is falsy unless either underlying density came from
         the breaker-open fallback path (then it is that density's
-        served/requested-key record).
+        served/requested-key record).  Both windows are clipped to one
+        read of the data span, so a tick landing between the two
+        densities cannot give them different end hours.
         """
         with obs.span("pipeline.shift"), \
                 self.metrics.timer("pipeline_seconds", op="shift"):
-            before, degraded_1 = self.density_degradable(
-                t1, bandwidth_m, customer_ids, method
+            span = self.db.time_span
+            before, degraded_1 = self._density_at(
+                t1, span, bandwidth_m, customer_ids, method
             )
-            after, degraded_2 = self.density_degradable(
-                t2, bandwidth_m, customer_ids, method
+            after, degraded_2 = self._density_at(
+                t2, span, bandwidth_m, customer_ids, method
             )
             return ShiftField.between(before, after), degraded_1 or degraded_2
 

@@ -249,12 +249,12 @@ class SeriesSet:
                 f"{self.customer_ids.shape[0]} customer ids for "
                 f"{self.matrix.shape[0]} matrix rows"
             )
-        if len(set(self.customer_ids.tolist())) != self.customer_ids.shape[0]:
+        self._row_of: dict[int, int] = dict(
+            zip(self.customer_ids.tolist(), range(self.customer_ids.shape[0]))
+        )
+        if len(self._row_of) != self.customer_ids.shape[0]:
             raise ValueError("customer_ids contains duplicates")
         self.start_hour = int(start_hour)
-        self._row_of: dict[int, int] = {
-            int(cid): row for row, cid in enumerate(self.customer_ids)
-        }
 
     # ------------------------------------------------------------------
     # basic shape / lookup

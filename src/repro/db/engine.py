@@ -87,7 +87,13 @@ class EnergyDatabase:
             raise ValueError("customers and readings cover different ids")
 
         self._customers = {c.customer_id: c for c in customers}
-        self.readings = readings
+        # The column buffer behind every published snapshot: the caller's
+        # matrix is adopted as-is (capacity == width), so the first ingest
+        # grows into an array this database allocated and the caller's is
+        # never written.
+        self._buffer = readings.matrix
+        self.readings = _publish(readings.customer_ids, readings.start_hour,
+                                 self._buffer, readings.n_steps)
         self.table = Table("customers", CUSTOMER_SCHEMA)
         self.table.insert_columns(
             {
@@ -143,8 +149,9 @@ class EnergyDatabase:
 
     @property
     def time_span(self) -> HourWindow:
-        """The hour window covered by the readings."""
-        return HourWindow(self.readings.start_hour, self.readings.end_hour)
+        """The hour window covered by the readings (one snapshot)."""
+        readings = self.readings
+        return HourWindow(readings.start_hour, readings.end_hour)
 
     def customer(self, customer_id: int) -> Customer:
         """Look up one customer; raises ``KeyError`` if unknown."""
@@ -301,11 +308,19 @@ class EnergyDatabase:
 
         The batch must start exactly where the stored readings end and
         cover every customer (``customer_ids`` may reorder the rows; it
-        must be a permutation of the stored ids).  The new
-        :class:`~repro.data.timeseries.SeriesSet` is built off-lock-free
-        reads and swapped in atomically under the write lock, so a
-        concurrent reader sees either the old or the new readings —
-        never a torn matrix.
+        must be a permutation of the stored ids).
+
+        The readings live in an append-only column buffer.  The batch is
+        written into the free columns past the published end, and the
+        new :class:`~repro.data.timeseries.SeriesSet` — a read-only view
+        of the buffer's prefix — replaces the old one in a single
+        reference swap.  A published column is never written again, so a
+        reader holding an older snapshot keeps a consistent matrix without
+        a copy.  When the batch does not fit, the buffer grows to
+        ``max(2 * capacity, needed)`` columns and only the published
+        prefix is copied, so a tick costs O(customers x new hours)
+        amortised, not O(customers x history).  ``db_ingest_bytes_total``
+        counts the bytes written: the batch plus any growth copy.
 
         Returns the new ``end_hour``.
         """
@@ -316,7 +331,7 @@ class EnergyDatabase:
             )
         with self._read_lock:
             readings = self.readings
-            stored_ids = [int(cid) for cid in readings.customer_ids]
+            stored_ids = readings.customer_ids.tolist()
             if customer_ids is None:
                 rows = values
             else:
@@ -331,7 +346,7 @@ class EnergyDatabase:
                         "ingest batch must cover exactly the stored "
                         "customers"
                     )
-                row_of = {cid: i for i, cid in enumerate(batch_ids)}
+                row_of = dict(zip(batch_ids, range(len(batch_ids))))
                 rows = values[[row_of[cid] for cid in stored_ids]]
             if rows.shape[0] != len(stored_ids):
                 raise ValueError(
@@ -343,13 +358,34 @@ class EnergyDatabase:
                     f"ingest batch must start at hour {readings.end_hour} "
                     f"(the current end), got {start_hour}"
                 )
-            merged = SeriesSet(
-                customer_ids=stored_ids,
-                start_hour=readings.start_hour,
-                matrix=np.hstack([readings.matrix, rows]),
-            )
+            end = readings.n_steps
+            needed = end + rows.shape[1]
+            buffer = self._buffer
+            written = rows.nbytes
+            if needed > buffer.shape[1]:
+                grown = np.empty(
+                    (buffer.shape[0], max(2 * buffer.shape[1], needed))
+                )
+                grown[:, :end] = buffer[:, :end]
+                written += grown[:, :end].nbytes
+                buffer = self._buffer = grown
+            buffer[:, end:needed] = rows
             # Atomic swap: readers holding the old reference keep a
-            # consistent snapshot.
-            self.readings = merged
+            # consistent snapshot (its columns are never written again).
+            self.readings = _publish(
+                stored_ids, readings.start_hour, buffer, needed
+            )
         self.metrics.counter("db_ingest_hours_total").inc(int(values.shape[1]))
-        return merged.end_hour
+        self.metrics.counter("db_ingest_bytes_total").inc(written)
+        return readings.start_hour + needed
+
+
+def _publish(
+    customer_ids: Sequence[int], start_hour: int, buffer: np.ndarray, width: int
+) -> SeriesSet:
+    """A snapshot of the buffer's first ``width`` columns as a read-only
+    view, so a write through ``db.readings.matrix`` cannot reach the
+    shared buffer."""
+    view = buffer[:, :width]
+    view.flags.writeable = False
+    return SeriesSet(customer_ids=customer_ids, start_hour=start_hour, matrix=view)

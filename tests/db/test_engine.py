@@ -7,6 +7,7 @@ from repro.data.timeseries import HourWindow, SeriesSet
 from repro.db.engine import EnergyDatabase
 from repro.db.query import Compare
 from repro.db.spatial import BBox, Circle, Point, Polygon
+from repro.obs import MetricsRegistry
 
 
 class TestConstruction:
@@ -203,3 +204,97 @@ class TestReadingsForContract:
     def test_unknown_id_raises_key_error(self, offset_db):
         with pytest.raises(KeyError):
             offset_db.readings_for([offset_db.customer_ids[0], 10**9])
+
+
+class TestIngestBuffer:
+    """Ingest appends into a column buffer behind read-only prefix views."""
+
+    N_TICKS = 512
+
+    @staticmethod
+    def _replay(city, history_hours, n_ticks):
+        """Replay ``n_ticks`` one-hour ticks over ``history_hours`` of
+        random history; returns the database, each tick's
+        ``db_ingest_bytes_total`` delta and whether the tick grew the
+        buffer (its snapshot shares no memory with the previous one)."""
+        registry = MetricsRegistry()
+        ids = city.raw.customer_ids
+        rng = np.random.default_rng(history_hours)
+        history = SeriesSet(ids, 0, rng.random((len(ids), history_hours)))
+        db = EnergyDatabase(city.customers, history, metrics=registry)
+        written = registry.counter("db_ingest_bytes_total")
+        deltas, grew = [], []
+        for _ in range(n_ticks):
+            before, snapshot = written.value, db.readings.matrix
+            end = db.time_span.end_hour
+            assert db.ingest_hours(rng.random((len(ids), 1)), end) == end + 1
+            deltas.append(written.value - before)
+            grew.append(not np.shares_memory(snapshot, db.readings.matrix))
+        return db, np.array(deltas), np.array(grew)
+
+    @pytest.mark.parametrize("history_hours", [1_000, 8_000])
+    def test_tick_bytes_do_not_grow_with_history(self, small_city, history_hours):
+        db, deltas, grew = self._replay(small_city, history_hours, self.N_TICKS)
+        column = len(db) * 8
+        # The first tick takes over the adopted caller's matrix: one copy
+        # of the history into a buffer the database owns, with room for
+        # as many hours again, so no later tick in this run grows it.
+        assert grew.tolist() == [True] + [False] * (self.N_TICKS - 1)
+        assert deltas[0] == (history_hours + 1) * column
+        # Every other tick writes exactly its own column.
+        assert (deltas[1:] == column).all()
+        amortised = (deltas.sum() - history_hours * column) / self.N_TICKS
+        assert amortised == column
+
+    def test_growth_steps_are_logarithmic_in_ticks(self, small_city):
+        db, deltas, grew = self._replay(small_city, 1, self.N_TICKS)
+        column = len(db) * 8
+        # Capacity doubles 1 -> 2 -> ... -> 1024: ten growth steps for
+        # 512 ticks, each copying only the published prefix.
+        assert int(grew.sum()) == int(np.ceil(np.log2(1 + self.N_TICKS)))
+        ends = 1 + np.arange(self.N_TICKS)
+        assert (deltas[grew] == (ends[grew] + 1) * column).all()
+        assert (deltas[~grew] == column).all()
+        # Copies 1 + 2 + ... + 512 columns plus 512 written: the bound of
+        # a doubling buffer, three columns per tick right after a growth.
+        assert deltas.sum() / self.N_TICKS <= 3 * column
+
+    def test_snapshots_stay_valid_and_match_a_rebuild(self, small_city):
+        raw = small_city.raw
+        db = EnergyDatabase(small_city.customers, raw.slice_hours(0, 100))
+        snapshots = []
+        for start in range(100, 400, 3):
+            snapshots.append(db.readings)
+            db.ingest_hours(raw.matrix[:, start:start + 3], start)
+        for snap in snapshots:
+            want = raw.matrix[:, : snap.n_steps]
+            assert snap.matrix.tobytes() == want.tobytes()
+        assert db.readings.matrix.tobytes() == raw.matrix[:, :400].tobytes()
+
+    def test_published_matrix_is_read_only(self, small_city):
+        raw = small_city.raw
+        adopted = raw.slice_hours(0, 48)
+        original = adopted.matrix.copy()
+        db = EnergyDatabase(small_city.customers, adopted)
+        with pytest.raises(ValueError, match="read-only"):
+            db.readings.matrix[0, 0] = -1.0
+        db.ingest_hours(raw.matrix[:, 48:50], 48)
+        with pytest.raises(ValueError, match="read-only"):
+            db.readings.matrix[:, -1] = -1.0
+        # The caller's array was adopted, never written or frozen.
+        assert adopted.matrix.flags.writeable
+        assert adopted.matrix.tobytes() == original.tobytes()
+        assert db.readings.matrix.tobytes() == raw.matrix[:, :50].tobytes()
+
+    def test_rejected_batch_leaves_readings_unchanged(self, small_city):
+        raw = small_city.raw
+        db = EnergyDatabase(small_city.customers, raw.slice_hours(0, 48))
+        db.ingest_hours(raw.matrix[:, 48:49], 48)
+        snapshot = db.readings
+        with pytest.raises(ValueError, match="must start at hour 49"):
+            db.ingest_hours(raw.matrix[:, 50:51], 50)
+        with pytest.raises(ValueError, match="rows"):
+            db.ingest_hours(raw.matrix[:3, 49:50], 49)
+        assert db.readings is snapshot
+        db.ingest_hours(raw.matrix[:, 49:52], 49)
+        assert db.readings.matrix.tobytes() == raw.matrix[:, :52].tobytes()

@@ -10,6 +10,7 @@ from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
 from repro.db.storage import (
     CUSTOMERS_FILE,
+    FORMAT_VERSION,
     META_FILE,
     READINGS_FILE,
     StorageError,
@@ -65,6 +66,60 @@ class TestRoundTrip:
         save_database(small_db, target)
         save_database(small_db, target)  # no error on re-save
         assert load_database(target).readings.n_steps == small_db.readings.n_steps
+
+
+class TestIngestedRoundTrip:
+    """A database that has ingested ticks publishes a non-contiguous view
+    of its column buffer; saving, reloading and serving it must not
+    depend on that layout."""
+
+    @pytest.fixture(scope="class")
+    def ingested_db(self, small_city):
+        from repro.db.engine import EnergyDatabase
+
+        raw = small_city.raw
+        db = EnergyDatabase(small_city.customers, raw.slice_hours(0, 400))
+        for start in range(400, raw.n_steps, 8):
+            db.ingest_hours(raw.matrix[:, start:start + 8], start)
+        assert db.time_span.end_hour == raw.end_hour
+        assert not db.readings.matrix.flags.c_contiguous
+        return db
+
+    def test_round_trip_is_bit_identical(self, ingested_db, tmp_path):
+        target = save_database(ingested_db, tmp_path / "store")
+        assert json.loads((target / META_FILE).read_text())[
+            "format_version"
+        ] == FORMAT_VERSION == 1
+        loaded = load_database(target)
+        assert loaded.time_span == ingested_db.time_span
+        np.testing.assert_array_equal(
+            loaded.readings.customer_ids, ingested_db.readings.customer_ids
+        )
+        assert (
+            loaded.readings.matrix.tobytes()
+            == ingested_db.readings.matrix.tobytes()
+        )
+
+    def test_session_answers_like_a_contiguous_one(
+        self, ingested_db, small_city
+    ):
+        from repro.core.pipeline import VapSession
+        from repro.db.engine import EnergyDatabase
+        from repro.server import VapApp
+        from repro.server.client import TestClient
+
+        contiguous = EnergyDatabase(small_city.customers, small_city.raw)
+        assert contiguous.readings.matrix.flags.c_contiguous
+        bodies = []
+        for db in (ingested_db, contiguous):
+            client = TestClient(VapApp(VapSession(db)))
+            responses = [
+                client.get(f"/api/density?t_start={a}&t_end={b}")
+                for a, b in ((0, 24), (380, 420), (480, 600))
+            ]
+            assert all(r.status == 200 for r in responses)
+            bodies.append([r.body for r in responses])
+        assert bodies[0] == bodies[1]
 
 
 class TestErrors:

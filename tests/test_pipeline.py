@@ -346,6 +346,55 @@ class TestDensityCacheFreshness:
         assert a is session.density(HourWindow(HEAD_HOURS - 4, HEAD_HOURS))
 
 
+class TestShiftEndHour:
+    def test_shift_racing_a_tick_clips_both_windows_alike(
+        self, tick_city, monkeypatch
+    ):
+        """A tick that lands between a shift's two densities must not clip
+        t1 and t2 at different end hours: the shift equals a fresh
+        session's shift at one end hour."""
+        import threading
+
+        session = _session_through(tick_city, HEAD_HOURS)
+        t1 = HourWindow(HEAD_HOURS - 6, HEAD_HOURS + 2)
+        t2 = HourWindow(HEAD_HOURS - 3, HEAD_HOURS + 5)
+        go, landed = threading.Event(), threading.Event()
+        errors = []
+
+        def writer():
+            try:
+                go.wait(timeout=30)
+                _tick(session, tick_city, 1)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+            finally:
+                landed.set()
+
+        real_demand = session.db.demand
+
+        def demand_racing_the_writer(*args, **kwargs):
+            # The first density's read lets the writer land one tick and
+            # waits for it, so the second density runs after the tick.
+            if not go.is_set():
+                go.set()
+                assert landed.wait(timeout=30)
+            return real_demand(*args, **kwargs)
+
+        monkeypatch.setattr(session.db, "demand", demand_racing_the_writer)
+        thread = threading.Thread(target=writer)
+        thread.start()
+        got = session.shift(t1, t2)
+        thread.join(timeout=30)
+        assert not errors, errors
+        assert session.db.time_span.end_hour == HEAD_HOURS + 1
+        fresh = [
+            _session_through(tick_city, end).shift(t1, t2)
+            for end in (HEAD_HOURS, HEAD_HOURS + 1)
+        ]
+        assert not np.array_equal(fresh[0].values, fresh[1].values)
+        assert any(np.array_equal(got.values, f.values) for f in fresh)
+
+
 def _assert_same_sweep(got, want, rel=0.0):
     assert [r.resolution for r in got] == [r.resolution for r in want]
     for a, b in zip(got, want):
