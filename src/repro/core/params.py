@@ -81,9 +81,7 @@ class EmbedParams:
     """The options of one view-C embedding (t-SNE or MDS).
 
     ``feature_kind=None`` means the session's default folding; the
-    session fills it in before keying.  ``workers`` is deliberately not
-    a field: it schedules a run without changing its result, so it is
-    passed to the run next to the spec (see :meth:`parse`).
+    session fills it in before keying.
 
     Raises
     ------
@@ -142,11 +140,9 @@ class EmbedParams:
             )
 
     @classmethod
-    def parse(
-        cls, params: Mapping[str, object]
-    ) -> tuple["EmbedParams", int | None]:
-        """The spec and the ``workers`` run argument from an HTTP query
-        (string values) or a job's JSON params.
+    def parse(cls, params: Mapping[str, object]) -> "EmbedParams":
+        """The spec from an HTTP query (string values) or a job's JSON
+        params.
 
         Absent (or JSON ``null``) options keep their defaults and
         unknown keys are ignored; ``feature_kind`` is not a request
@@ -158,17 +154,12 @@ class EmbedParams:
             Naming the first option that does not parse or is out of
             range.
         """
-        workers = params.get("workers")
-        if workers is not None:
-            workers = parse_option("workers", int, workers)
-            if workers < 1:
-                raise ValueError("parameter 'workers' must be >= 1")
         options = {
             name: parse_option(name, kind, params[name])
             for name, kind in _EMBED_OPTIONS.items()
             if params.get(name) is not None
         }
-        return cls(**options), workers
+        return cls(**options)
 
     def key(self, n_rows: int) -> tuple[tuple[str, object], ...]:
         """The cache key of this embedding over ``n_rows`` rows: the

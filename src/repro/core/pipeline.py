@@ -340,7 +340,7 @@ class VapSession:
 
         return self._flight(self._features, "features", kind, compute)
 
-    def embed(self, workers: int | None = None, **options) -> EmbeddingInfo:
+    def embed(self, **options) -> EmbeddingInfo:
         """Reduce the series to 2-D; ``options`` are
         :class:`~repro.core.params.EmbedParams` fields (see
         :meth:`embed_spec`).
@@ -350,26 +350,20 @@ class VapSession:
         ValueError
             For an invalid option.
         """
-        info, _ = self.embed_spec(EmbedParams(**options), workers=workers)
+        info, _ = self.embed_spec(EmbedParams(**options))
         return info
 
-    def embed_degradable(
-        self, workers: int | None = None, **options
-    ) -> tuple[EmbeddingInfo, dict | bool]:
+    def embed_degradable(self, **options) -> tuple[EmbeddingInfo, dict | bool]:
         """:meth:`embed`, reporting degradation: ``(info, degraded)``."""
-        return self.embed_spec(EmbedParams(**options), workers=workers)
+        return self.embed_spec(EmbedParams(**options))
 
-    def embed_spec(
-        self, params: EmbedParams, workers: int | None = None
-    ) -> tuple[EmbeddingInfo, dict | bool]:
+    def embed_spec(self, params: EmbedParams) -> tuple[EmbeddingInfo, dict | bool]:
         """The embedding ``params`` describes; returns ``(info, degraded)``.
 
         Cached per ``params.key(n)``: the resolved engine plus the
         options it reads, so requests whose runs would be byte-identical
         (another ``seed`` under exact t-SNE, perplexities clamped alike,
-        any t-SNE option under MDS) share one run.  ``workers`` fans
-        blockwise kernel stages out on the shared pool; results are
-        worker-count independent, so it is not part of the key either.
+        any t-SNE option under MDS) share one run.
 
         ``degraded`` is falsy on the healthy path.  When the embed
         circuit breaker refused the computation and ``info`` is the
@@ -393,13 +387,13 @@ class VapSession:
                     self.metrics.timer("pipeline_seconds", op="embed"):
                 feats = self.features(params.feature_kind)
                 if method == "tsne":
-                    result = tsne(feats, workers=workers, **params.tsne_options())
+                    result = tsne(feats, **params.tsne_options())
                     objective = result.kl_divergence
                 else:
                     result = mds(
                         feats, metric=metric,
                         method="classical" if method == "mds_classical" else "smacof",
-                        workers=workers, dtw_max_rows=params.dtw_max_rows,
+                        dtw_max_rows=params.dtw_max_rows,
                     )
                     objective = result.stress
             elapsed = self.metrics.clock() - start

@@ -15,10 +15,9 @@ matrix and roughly doubles matmul throughput at a max relative error
 ``dtype=`` to convert explicitly; integer and other inputs still default
 to float64.
 
-Scale policy: the pairwise kernels decompose over row blocks —
-boundaries fixed by :func:`repro.parallel.row_blocks`, never by worker
-count — and fan out on the shared-memory pool when ``workers`` (or
-``REPRO_WORKERS``) asks for cores.  The cross-distance kernels
+Scale policy: the pairwise kernels run over fixed row blocks
+(:func:`repro.parallel.row_blocks`), one block at a time with a deadline
+check between blocks.  The cross-distance kernels
 (`*_cross_distance_matrix`) compute an ``(m, n)`` query-vs-reference
 block directly, which is what lets the landmark t-SNE path place 50k
 points without ever materialising a 50k x 50k matrix.
@@ -97,21 +96,37 @@ def pearson_normalize(
     return unit
 
 
-def _pearson_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
+def _pearson_rows(
+    query_unit: np.ndarray, reference_unit: np.ndarray
 ) -> np.ndarray:
-    start, stop = block
-    unit = arrays["unit"]
-    corr = unit[start:stop] @ unit.T
+    """``1 - r`` from unit-normalised query rows to reference rows."""
+    corr = query_unit @ reference_unit.T
     np.clip(corr, -1.0, 1.0, out=corr)
     return 1.0 - corr
+
+
+def _euclidean_rows(
+    queries: np.ndarray,
+    references: np.ndarray,
+    sq_q: np.ndarray,
+    sq_r: np.ndarray,
+) -> np.ndarray:
+    """Euclidean distances from query rows to reference rows, given each
+    side's squared row norms."""
+    d2 = sq_q[:, None] + sq_r[None, :]
+    d2 -= 2.0 * (queries @ references.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2)
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def pearson_distance_matrix(
     features: np.ndarray,
     *,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """``1 - r`` distance between all row pairs (paper's metric).
@@ -121,9 +136,8 @@ def pearson_distance_matrix(
     (distance 0), keeping the matrix a proper dissimilarity (zero diagonal,
     symmetric, non-negative, bounded by 2).
 
-    Computed blockwise over rows (fixed ``block_rows`` boundaries) and in
-    parallel when ``workers`` > 1 — worker count never changes the
-    result, only which process computes which block.
+    Computed blockwise over rows; the ``block_rows`` boundaries depend
+    only on the row count, so the result is the same on every run.
     """
     unit = pearson_normalize(features, dtype=dtype)
     n = unit.shape[0]
@@ -131,12 +145,10 @@ def pearson_distance_matrix(
         raise ValueError(
             f"need at least 2 rows to compute pairwise distances, got {n}"
         )
-    blocks = row_blocks(n, block_rows)
-    parts = map_blocks(
-        _pearson_block, blocks, arrays={"unit": unit},
-        workers=workers, name="pearson",
-    )
-    dist = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    dist = _stacked(map_blocks(
+        lambda start, stop: _pearson_rows(unit[start:stop], unit),
+        row_blocks(n, block_rows), name="pearson",
+    ))
     np.fill_diagonal(dist, 0.0)
     # Exact symmetry despite floating-point noise.
     return (dist + dist.T) / 2.0
@@ -148,7 +160,6 @@ def pearson_cross_distance_matrix(
     *,
     reference_unit: np.ndarray | None = None,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """``(m, n)`` Pearson distances from query rows to reference rows.
@@ -169,41 +180,18 @@ def pearson_cross_distance_matrix(
             f"queries have width {query_unit.shape[1]}, "
             f"references have {reference_unit.shape[1]}"
         )
-    blocks = row_blocks(query_unit.shape[0], block_rows)
-    parts = map_blocks(
-        _pearson_cross_block, blocks,
-        arrays={"query": query_unit, "reference": reference_unit},
-        workers=workers, name="pearson_cross",
-    )
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-def _pearson_cross_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    corr = arrays["query"][start:stop] @ arrays["reference"].T
-    np.clip(corr, -1.0, 1.0, out=corr)
-    return 1.0 - corr
-
-
-def _euclidean_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    features = arrays["features"]
-    sq = arrays["sq"]
-    d2 = sq[start:stop, None] + sq[None, :]
-    d2 -= 2.0 * (features[start:stop] @ features.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2)
+    return _stacked(map_blocks(
+        lambda start, stop: _pearson_rows(
+            query_unit[start:stop], reference_unit
+        ),
+        row_blocks(query_unit.shape[0], block_rows), name="pearson_cross",
+    ))
 
 
 def euclidean_distance_matrix(
     features: np.ndarray,
     *,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """Plain Euclidean distance between all row pairs (blockwise)."""
@@ -211,13 +199,12 @@ def euclidean_distance_matrix(
     sq = (features**2).sum(axis=1, dtype=np.float64).astype(
         features.dtype, copy=False
     )
-    blocks = row_blocks(features.shape[0], block_rows)
-    parts = map_blocks(
-        _euclidean_block, blocks,
-        arrays={"features": features, "sq": sq},
-        workers=workers, name="euclidean",
-    )
-    dist = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    dist = _stacked(map_blocks(
+        lambda start, stop: _euclidean_rows(
+            features[start:stop], features, sq[start:stop], sq
+        ),
+        row_blocks(features.shape[0], block_rows), name="euclidean",
+    ))
     np.fill_diagonal(dist, 0.0)
     return (dist + dist.T) / 2.0
 
@@ -227,7 +214,6 @@ def euclidean_cross_distance_matrix(
     references: np.ndarray,
     *,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """``(m, n)`` Euclidean distances from query rows to reference rows."""
@@ -244,26 +230,12 @@ def euclidean_cross_distance_matrix(
     sq_q = (queries**2).sum(axis=1, dtype=np.float64).astype(
         queries.dtype, copy=False
     )
-    blocks = row_blocks(queries.shape[0], block_rows)
-    parts = map_blocks(
-        _euclidean_cross_block, blocks,
-        arrays={
-            "queries": queries, "references": references,
-            "sq_q": sq_q, "sq_r": sq_r,
-        },
-        workers=workers, name="euclidean_cross",
-    )
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-def _euclidean_cross_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    d2 = arrays["sq_q"][start:stop, None] + arrays["sq_r"][None, :]
-    d2 -= 2.0 * (arrays["queries"][start:stop] @ arrays["references"].T)
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2)
+    return _stacked(map_blocks(
+        lambda start, stop: _euclidean_rows(
+            queries[start:stop], references, sq_q[start:stop], sq_r
+        ),
+        row_blocks(queries.shape[0], block_rows), name="euclidean_cross",
+    ))
 
 
 def pairwise_distances(
@@ -271,7 +243,6 @@ def pairwise_distances(
     metric: str = "pearson",
     *,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     dtw_max_rows: int | None = None,
 ) -> np.ndarray:
     """Dispatch on metric name.
@@ -286,9 +257,9 @@ def pairwise_distances(
         For an unknown metric name.
     """
     if metric == "pearson":
-        return pearson_distance_matrix(features, dtype=dtype, workers=workers)
+        return pearson_distance_matrix(features, dtype=dtype)
     if metric == "euclidean":
-        return euclidean_distance_matrix(features, dtype=dtype, workers=workers)
+        return euclidean_distance_matrix(features, dtype=dtype)
     if metric == "dtw":
         # Local import: dtw pulls in the obs/preprocess stack.  DTW is
         # row-capped (see DtwLimitError) — selections and small fleets
@@ -306,7 +277,6 @@ def cross_distances(
     metric: str = "pearson",
     *,
     dtype: np.dtype | None = None,
-    workers: int | None = None,
     dtw_max_rows: int | None = None,
 ) -> np.ndarray:
     """``(m, n)`` query-vs-reference distances for any supported metric.
@@ -315,13 +285,9 @@ def cross_distances(
     square form: the pair count must not exceed ``dtw_max_rows ** 2``.
     """
     if metric == "pearson":
-        return pearson_cross_distance_matrix(
-            queries, references, dtype=dtype, workers=workers
-        )
+        return pearson_cross_distance_matrix(queries, references, dtype=dtype)
     if metric == "euclidean":
-        return euclidean_cross_distance_matrix(
-            queries, references, dtype=dtype, workers=workers
-        )
+        return euclidean_cross_distance_matrix(queries, references, dtype=dtype)
     if metric == "dtw":
         from repro.core.reduction.dtw import dtw_cross_distance_matrix
 

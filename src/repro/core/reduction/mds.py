@@ -123,12 +123,11 @@ def mds(
     method: str = "smacof",
     n_components: int = 2,
     max_iter: int = 300,
-    workers: int | None = None,
     dtw_max_rows: int | None = None,
 ) -> MDSResult:
     """Embed rows with MDS; mirrors the :func:`~repro.core.reduction.tsne.tsne`
-    calling convention (including the ``workers`` fan-out and the DTW
-    row-ceiling override for the distance stage).
+    calling convention (including the DTW row-ceiling override for the
+    distance stage).
 
     Raises
     ------
@@ -142,8 +141,7 @@ def mds(
     if distances is None:
         assert features is not None
         dist = pairwise_distances(
-            features, metric=metric, workers=workers,
-            dtw_max_rows=dtw_max_rows,
+            features, metric=metric, dtw_max_rows=dtw_max_rows
         )
     else:
         dist = validate_distance_matrix(distances)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -161,8 +160,9 @@ class TSNEResult:
 
 
 def _perplexity_block(
-    block: tuple[int, int],
-    arrays: Mapping[str, np.ndarray],
+    dist: np.ndarray,
+    start: int,
+    stop: int,
     *,
     perplexity: float,
     tol: float,
@@ -173,11 +173,9 @@ def _perplexity_block(
     Every operation here is row-local (the bisection of row ``i`` reads
     only row ``i``), so splitting the rows into blocks returns exactly
     the same bits as one all-rows pass — the property that lets
-    :func:`_perplexity_search` fan blocks out on the worker pool without
+    :func:`_perplexity_search` bound its memory by block without
     changing results.
     """
-    start, stop = block
-    dist = arrays["dist"]
     n = dist.shape[1]
     rows = stop - start
     target_entropy = np.log(perplexity)
@@ -239,7 +237,6 @@ def _perplexity_search(
     perplexity: float,
     tol: float = 1e-5,
     max_tries: int = 64,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-stochastic P(j|i) and precisions, all rows bisected at once.
@@ -251,19 +248,20 @@ def _perplexity_search(
     (:func:`_perplexity_search_loop`) to floating-point noise without the
     n x 64 Python-level iteration count.
 
-    The bisection is row-local, so rows run in fixed blocks that can fan
-    out on the shared-memory pool (``workers`` / ``REPRO_WORKERS``); the
-    result is bit-identical for any worker count.
+    The bisection is row-local, so rows run in fixed blocks, which bound
+    the ``(rows, n)`` temporaries; the result is bit-identical for any
+    ``block_rows``.
 
     Returns ``(cond, beta)`` — the conditional matrix (zero diagonal) and
     the per-row precisions.
     """
     dist = np.asarray(dist)
-    blocks = row_blocks(dist.shape[0], block_rows)
     parts = map_blocks(
-        _perplexity_block, blocks, arrays={"dist": dist},
-        kwargs={"perplexity": perplexity, "tol": tol, "max_tries": max_tries},
-        workers=workers, name="perplexity",
+        lambda start, stop: _perplexity_block(
+            dist, start, stop,
+            perplexity=perplexity, tol=tol, max_tries=max_tries,
+        ),
+        row_blocks(dist.shape[0], block_rows), name="perplexity",
     )
     if len(parts) == 1:
         return parts[0]
@@ -317,25 +315,20 @@ def _conditional_probabilities(
     perplexity: float,
     tol: float = 1e-5,
     max_tries: int = 64,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Row-stochastic P(j|i) with per-row bandwidth matched to perplexity."""
-    cond, _ = _perplexity_search(
-        dist, perplexity, tol=tol, max_tries=max_tries, workers=workers
-    )
+    cond, _ = _perplexity_search(dist, perplexity, tol=tol, max_tries=max_tries)
     return cond
 
 
-def joint_probabilities(
-    dist: np.ndarray, perplexity: float, workers: int | None = None
-) -> np.ndarray:
+def joint_probabilities(dist: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrised joint P of the t-SNE objective (sums to 1, zero diag)."""
     n = dist.shape[0]
     if not 1.0 < perplexity < n:
         raise ValueError(
             f"perplexity must be in (1, n_points={n}), got {perplexity}"
         )
-    cond = _conditional_probabilities(dist, perplexity, workers=workers)
+    cond = _conditional_probabilities(dist, perplexity)
     joint = (cond + cond.T) / (2.0 * n)
     return np.clip(joint, _P_MIN, None)
 
@@ -577,7 +570,6 @@ def _landmark_tsne(
     init: str,
     seed: int,
     theta: float,
-    workers: int | None,
     n_landmarks: int | None,
     dtype: str | None,
     dtw_max_rows: int | None,
@@ -627,7 +619,7 @@ def _landmark_tsne(
             early_exaggeration=early_exaggeration,
             exaggeration_iter=exaggeration_iter, n_components=2,
             init=init, seed=seed, method="bh", theta=theta,
-            workers=workers, dtype=dtype, dtw_max_rows=dtw_max_rows,
+            dtype=dtype, dtw_max_rows=dtw_max_rows,
             # Landmark selection and placement are deterministic per
             # seed, so checkpointing the inner embed is enough to make
             # the whole landmark run resumable.
@@ -651,7 +643,7 @@ def _landmark_tsne(
                     feats[idx], inner.embedding, k=knn, metric=metric
                 )
                 out[rest] = projector.project(
-                    feats[rest], workers=workers, dtw_max_rows=dtw_max_rows
+                    feats[rest], dtw_max_rows=dtw_max_rows
                 )
             else:
                 out[rest] = barycentric_from_cross(
@@ -690,7 +682,6 @@ def tsne(
     seed: int = 0,
     method: str = "auto",
     theta: float = 0.5,
-    workers: int | None = None,
     n_landmarks: int | None = None,
     dtype: str | None = None,
     dtw_max_rows: int | None = None,
@@ -724,10 +715,9 @@ def tsne(
     ``n_landmarks`` is read only by landmark runs, ``dtw_max_rows`` only
     by ``metric="dtw"``.
 
-    ``workers`` (default ``REPRO_WORKERS``, else serial) fans the
-    distance and perplexity stages out over the shared-memory pool;
-    results are bit-identical for any worker count.  ``dtype`` selects
-    the distance compute precision (``"float32"`` halves bandwidth;
+    The distance and perplexity stages run over fixed row blocks, with a
+    deadline check between blocks.  ``dtype`` selects the distance
+    compute precision (``"float32"`` halves bandwidth;
     reductions still accumulate in float64).  ``dtw_max_rows``
     overrides the DTW pairwise row ceiling.
 
@@ -777,7 +767,7 @@ def tsne(
             n_iter=n_iter, learning_rate=learning_rate,
             early_exaggeration=early_exaggeration,
             exaggeration_iter=exaggeration_iter, init=init, seed=seed,
-            theta=theta, workers=workers, n_landmarks=n_landmarks,
+            theta=theta, n_landmarks=n_landmarks,
             dtype=dtype, dtw_max_rows=dtw_max_rows,
             checkpoint_every=checkpoint_every, checkpoint_fn=checkpoint_fn,
             resume_from=resume_from,
@@ -785,8 +775,7 @@ def tsne(
     if distances is None:
         assert features is not None
         dist = pairwise_distances(
-            features, metric=metric, dtype=dtype, workers=workers,
-            dtw_max_rows=dtw_max_rows,
+            features, metric=metric, dtype=dtype, dtw_max_rows=dtw_max_rows,
         )
     else:
         dist = validate_distance_matrix(distances)
@@ -817,7 +806,7 @@ def tsne(
     with obs.span(
         "kernel.tsne", n_points=n, n_iter=n_iter, method=engine
     ), registry.timer("kernel_runtime_seconds", kernel="tsne"):
-        p = joint_probabilities(dist, perplexity, workers=workers)
+        p = joint_probabilities(dist, perplexity)
         rng = np.random.default_rng(seed)
         if effective_init == "pca":
             assert features is not None

@@ -73,7 +73,7 @@ def _embed_fingerprint(key: tuple, feats: np.ndarray) -> str:
     :meth:`~repro.core.params.EmbedParams.key` plus a digest of the
     exact feature matrix — a checkpoint from different data or from
     settings that change the result must never be resumed, while one
-    from settings that do not (``workers``, an unread ``seed``) may."""
+    from settings that do not (such as an unread ``seed``) may."""
     feat_digest = hashlib.sha256(
         np.ascontiguousarray(feats).tobytes()
     ).hexdigest()
@@ -94,7 +94,7 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
     (t-SNE engines only); on restart the handler resumes from the last
     fingerprint-matching checkpoint.
     """
-    params, workers = EmbedParams.parse(job.params)
+    params = EmbedParams.parse(job.params)
     ctx.report(0.02, "extracting features")
     feats = session.features()
     n_iter = params.n_iter
@@ -126,7 +126,6 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
 
         result = tsne(
             feats,
-            workers=workers,
             checkpoint_every=ctx.checkpoint_every,
             checkpoint_fn=checkpoint_fn,
             resume_from=resume,
@@ -138,7 +137,7 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
     else:
         # MDS runs have no iterative checkpoint; compute through the
         # session (single-flight cached) like the synchronous endpoint.
-        info, _ = session.embed_spec(params, workers=workers)
+        info, _ = session.embed_spec(params)
         coords = info.coords
         objective = info.objective
         trace = []

@@ -18,8 +18,8 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       incl. auto at n >= BH_THRESHOLD),
                                       ``seed`` and ``n_landmarks``
                                       (landmark only), ``dtw_max_rows``
-                                      (dtw only), ``workers``; one run
-                                      per distinct ``EmbedParams.key``
+                                      (dtw only); one run per distinct
+                                      ``EmbedParams.key``
 ``POST /api/selection``               run a selection gesture; body gives
                                       ``type`` (rect/radius/knn/lasso) and
                                       geometry; returns indices, customer
@@ -775,41 +775,18 @@ class VapApp:
         return payload
 
     def _parallel_payload(self, snapshot: dict) -> dict:
-        """Worker-pool usage per blockwise kernel — the ``parallel``
-        block of ``/api/telemetry``.
-
-        ``budget`` is the process-wide ``REPRO_WORKERS`` setting;
-        ``pools`` aggregates the ``parallel_*`` counters per pool name
-        (runs, tasks, and how many runs actually forked); ``fallbacks``
-        counts serial downgrades by reason."""
-        from repro.parallel import pool_budget
-
+        """Blockwise-kernel usage — the ``parallel`` block of
+        ``/api/telemetry``: ``pools`` holds the runs and tasks (row
+        blocks) of each kernel, from the ``parallel_*`` counters."""
         pools: dict[str, dict[str, float]] = {}
-        fallbacks: dict[str, float] = {}
+        fields = {"parallel_pool_runs_total": "runs", "parallel_tasks_total": "tasks"}
         for record in snapshot["counters"]:
-            name = record["name"]
-            if name == "parallel_pool_runs_total":
+            field = fields.get(record["name"])
+            if field is not None:
                 pool = record["labels"].get("pool", "?")
-                entry = pools.setdefault(
-                    pool, {"runs": 0.0, "tasks": 0.0, "fork_runs": 0.0}
-                )
-                entry["runs"] += record["value"]
-                if record["labels"].get("mode") == "fork":
-                    entry["fork_runs"] += record["value"]
-            elif name == "parallel_tasks_total":
-                pool = record["labels"].get("pool", "?")
-                entry = pools.setdefault(
-                    pool, {"runs": 0.0, "tasks": 0.0, "fork_runs": 0.0}
-                )
-                entry["tasks"] += record["value"]
-            elif name == "parallel_fallback_total":
-                reason = record["labels"].get("reason", "?")
-                fallbacks[reason] = fallbacks.get(reason, 0.0) + record["value"]
-        return {
-            "budget": pool_budget(),
-            "pools": pools,
-            "fallbacks": fallbacks,
-        }
+                entry = pools.setdefault(pool, {"runs": 0.0, "tasks": 0.0})
+                entry[field] += record["value"]
+        return {"pools": pools}
 
     def _rollup_payload(self, session: VapSession | None = None) -> dict:
         """Staleness block of the materialized rollup layer — the
@@ -960,8 +937,9 @@ class VapApp:
         }
 
     def embedding(self, request: Request) -> dict:
-        params, workers = EmbedParams.parse(request.query)
-        info, degraded = request.session.embed_spec(params, workers=workers)
+        info, degraded = request.session.embed_spec(
+            EmbedParams.parse(request.query)
+        )
         payload = {
             "method": info.method,
             "metric": info.metric,

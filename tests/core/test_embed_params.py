@@ -37,8 +37,8 @@ BASE = {"n_iter": 40, "perplexity": 5.0}
 SHARED, DISTINCT, CONSERVATIVE = "shared", "distinct", "conservative"
 DAY = {"feature_kind": FeatureKind.MEAN_DAY}  # keeps DTW pairs fast
 
-# (a, b, expected): every row of the inert-option table, plus workers,
-# n_iter, metric, feature kind and the MDS variants.
+# (a, b, expected): every row of the inert-option table, plus n_iter,
+# metric, feature kind and the MDS variants.
 PAIRS = [
     ({"seed": 1, "tsne_method": "exact"}, {"seed": 2, "tsne_method": "exact"}, SHARED),
     ({"seed": 1, "tsne_method": "bh"}, {"seed": 2, "tsne_method": "bh"}, SHARED),
@@ -51,7 +51,6 @@ PAIRS = [
     ({"method": "mds", "seed": 1}, {"method": "mds", "seed": 2}, SHARED),
     ({"method": "mds", "perplexity": 5.0}, {"method": "mds", "perplexity": 8.0}, SHARED),
     ({"method": "mds", "theta": 0.3}, {"method": "mds", "theta": 0.7}, SHARED),
-    ({"workers": 1}, {"workers": 2}, SHARED),
     ({"feature_kind": None}, {"feature_kind": FeatureKind.MEAN_WEEK}, SHARED),
     ({"tsne_method": "landmark", "n_landmarks": 64}, {"tsne_method": "landmark"}, SHARED),
     ({"perplexity": 5.0}, {"perplexity": 8.0}, DISTINCT),
@@ -236,16 +235,13 @@ def test_parse_reads_query_strings_and_json_values_alike():
     json_params = {"perplexity": 8, "n_iter": 60, "tsne_method": "bh", "workers": 2,
                    "n_landmarks": None}
     assert EmbedParams.parse(query) == EmbedParams.parse(json_params)
-    assert EmbedParams.parse(query) == (
-        EmbedParams(perplexity=8.0, n_iter=60, tsne_method="bh"), 2
-    )
-    assert EmbedParams.parse({}) == (EmbedParams(), None)
+    assert EmbedParams.parse(query) == EmbedParams(perplexity=8.0, n_iter=60, tsne_method="bh")
+    assert EmbedParams.parse({}) == EmbedParams()
     for params, message in (
         ({"n_iter": "6.5"}, "'n_iter' must be an integer"),
         ({"n_iter": 6.5}, "'n_iter' must be an integer"),
         ({"theta": "x"}, "'theta' must be a number"),
         ({"perplexity": "inf"}, "'perplexity' must be a finite number"),
-        ({"workers": "0"}, "'workers' must be >= 1"),
     ):
         with pytest.raises(ValueError, match=message):
             EmbedParams.parse(params)

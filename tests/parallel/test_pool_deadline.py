@@ -15,7 +15,11 @@ import pytest
 
 from repro.core.deadline import Deadline, DeadlineExceeded, bind_deadline
 from repro.jobs.model import CancelToken, JobCancelled
-from repro.parallel.pool import map_blocks
+from repro.parallel.pool import map_blocks, row_blocks
+
+# Four one-row blocks; each block function below reports ``stop`` (1..4)
+# as its item number.
+BLOCKS = row_blocks(4, 1)
 
 
 class FakeClock:
@@ -35,7 +39,7 @@ class TestSerialDeadline:
         deadline = Deadline(5.0, clock=clock)
         ran = []
 
-        def work(item, arrays):
+        def work(start, item):
             # Each block "takes" 3 fake seconds: the budget dies during
             # block 2, so block 3 must never start.
             ran.append(item)
@@ -44,31 +48,31 @@ class TestSerialDeadline:
 
         with bind_deadline(deadline):
             with pytest.raises(DeadlineExceeded, match="parallel.map"):
-                map_blocks(work, [1, 2, 3, 4], workers=1, name="unit")
+                map_blocks(work, BLOCKS, name="unit")
         assert ran == [1, 2]
 
     def test_unexpired_deadline_is_transparent(self):
         clock = FakeClock()
         deadline = Deadline(100.0, clock=clock)
         with bind_deadline(deadline):
-            out = map_blocks(lambda x, arrays: x * 2, [1, 2, 3], workers=1, name="unit")
+            out = map_blocks(lambda start, x: x * 2, BLOCKS[:3], name="unit")
         assert out == [2, 4, 6]
 
     def test_no_deadline_no_checks(self):
-        out = map_blocks(lambda x, arrays: x + 1, [1, 2, 3], workers=1, name="unit")
+        out = map_blocks(lambda start, x: x + 1, BLOCKS[:3], name="unit")
         assert out == [2, 3, 4]
 
     def test_error_message_names_pool_and_block(self):
         clock = FakeClock()
         deadline = Deadline(1.0, clock=clock)
 
-        def work(item, arrays):
+        def work(start, item):
             clock.advance(2.0)
             return item
 
         with bind_deadline(deadline):
             with pytest.raises(DeadlineExceeded, match=r"parallel.map\[unit\]"):
-                map_blocks(work, [1, 2], workers=1, name="unit")
+                map_blocks(work, BLOCKS[:2], name="unit")
 
 
 class TestCancellation:
@@ -80,7 +84,7 @@ class TestCancellation:
         token = CancelToken(event)
         ran = []
 
-        def work(item, arrays):
+        def work(start, item):
             ran.append(item)
             if item == 2:
                 event.set()
@@ -88,5 +92,5 @@ class TestCancellation:
 
         with bind_deadline(token):
             with pytest.raises(JobCancelled):
-                map_blocks(work, [1, 2, 3, 4], workers=1, name="unit")
+                map_blocks(work, BLOCKS, name="unit")
         assert ran == [1, 2]

@@ -4,8 +4,8 @@
 Barnes–Hut kernel and places everyone else at the kNN barycentre of the
 landmark layout.  The gates: cluster structure must survive (kNN label
 recall within a few percent of the full BH run), results must be
-bit-identical across worker counts, and both input paths (features and
-precomputed distances) must work.
+bit-identical across placement block sizes, and both input paths
+(features and precomputed distances) must work.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.perf import _blob_data, _knn_label_recall
+from repro.core.reduction import project as project_module
 from repro.core.reduction.distances import euclidean_distance_matrix
 from repro.core.reduction.tsne import (
     DEFAULT_LANDMARKS,
@@ -107,18 +108,22 @@ class TestLandmarkQuality:
 
 
 class TestLandmarkDeterminism:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_block_rows(self, monkeypatch):
         feats, _ = _blob_data(600, seed=9)
         kwargs = dict(
             metric="euclidean", n_iter=60, seed=0,
             method="landmark", n_landmarks=64,
         )
-        serial = tsne(feats, workers=1, **kwargs)
-        for workers in (2, 4):
-            forked = tsne(feats, workers=workers, **kwargs)
-            # The contract map_blocks pins, end to end through a real
-            # kernel: not allclose — equal.
-            assert np.array_equal(forked.embedding, serial.embedding)
+        whole = tsne(feats, **kwargs)
+        # The 536 placed rows are one block by default; split them into
+        # many (some ragged) blocks, none of one row (BLAS runs that as a
+        # matrix-vector product, which may round differently).
+        for block_rows in (3, 50):
+            monkeypatch.setattr(project_module, "PROJECT_BLOCK_ROWS", block_rows)
+            blocked = tsne(feats, **kwargs)
+            # The row-local contract, end to end through a real kernel:
+            # not allclose — equal.
+            assert np.array_equal(blocked.embedding, whole.embedding)
 
     def test_same_seed_same_layout(self):
         feats, _ = _blob_data(400, seed=4)

@@ -143,17 +143,17 @@ class TestValidation:
 
 
 class TestBlockwiseDeterminism:
-    def test_bit_identical_across_blocks_and_workers(
-        self, train, rng, monkeypatch
-    ):
+    def test_bit_identical_across_block_rows(self, train, rng, monkeypatch):
         feats, emb = train
         new = rng.normal(size=(53, feats.shape[1]))
         projector = EmbeddingProjector(feats, emb, k=5, metric="pearson")
-        whole = projector.project(new, workers=1)
-        # Shrink blocks so 53 rows fan out over many ragged blocks.
-        monkeypatch.setattr(project_module, "PROJECT_BLOCK_ROWS", 7)
-        for workers in (1, 2, 4):
-            got = projector.project(new, workers=workers)
+        whole = projector.project(new)
+        # Shrink blocks so 53 rows split into many (some ragged) blocks.
+        # No block has one row: BLAS runs that as a matrix-vector
+        # product, which may round differently.
+        for block_rows in (7, 10, 53):
+            monkeypatch.setattr(project_module, "PROJECT_BLOCK_ROWS", block_rows)
+            got = projector.project(new)
             assert np.array_equal(got, whole)
 
     def test_block_matches_direct_cross_computation(self, train, rng):

@@ -1,50 +1,46 @@
-"""Pool knobs on the REST API: workers, landmarks, minibatch, telemetry."""
+"""Kernel knobs on the REST API: landmarks, minibatch, telemetry."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro import obs
-from repro.bench.perf import _blob_features
-from repro.core.reduction.tsne import tsne
 from repro.server import TestClient, VapApp
 
 
 @pytest.fixture(scope="module")
 def client(small_session, small_city):
-    return TestClient(VapApp(small_session, layout=small_city.layout))
+    app = VapApp(small_session, layout=small_city.layout)
+    yield TestClient(app)
+    app.jobs.shutdown()
 
 
 class TestWorkersParam:
     def test_worker_count_never_changes_the_answer(self, client):
+        """``workers`` is no option: a leftover key is ignored like any
+        other unknown key, by the embedding route and by embed jobs."""
         runs = obs.get_registry().counter("kernel_runs_total", kernel="tsne")
         before = runs.value
-        url = "/api/embedding?n_iter=40&tsne_method=bh&seed=913&workers="
-        serial = client.get(url + "1")
-        forked = client.get(url + "2")
-        # Worker count is not in the cache key: one t-SNE run, one answer.
+        url = "/api/embedding?n_iter=40&tsne_method=bh&seed=913"
+        plain = client.get(url)
+        stale = client.get(url + "&workers=0")
+        assert plain.ok and stale.body == plain.body
         assert runs.value == before + 1
-        assert serial.ok and forked.body == serial.body
 
-    def test_kernel_result_is_worker_count_independent(self):
-        # Above one 2048-row block, so workers=2 really fans out.
-        feats = _blob_features(2100, seed=4)
-        pooled = obs.get_registry().counter(
-            "parallel_pool_runs_total", pool="perplexity", mode="fork"
-        )
-        before = pooled.value
-        serial = tsne(feats, n_iter=8, method="bh", workers=1)
-        forked = tsne(feats, n_iter=8, method="bh", workers=2)
-        assert pooled.value == before + 1
-        assert forked.embedding.tobytes() == serial.embedding.tobytes()
-
-    def test_zero_workers_is_400(self, client):
-        response = client.get("/api/embedding?workers=0")
-        assert response.status == 400
-        assert "workers" in response.json["error"]
-
-    def test_junk_workers_is_400(self, client):
-        assert client.get("/api/embedding?workers=lots").status == 400
+        artifacts = []
+        for params in ({"n_iter": 40}, {"n_iter": 40, "workers": 2}):
+            job = client.post("/api/jobs", json={"kind": "embed", "params": params})
+            assert job.status == 202
+            poll = job.headers["Location"]
+            deadline = time.monotonic() + 60.0
+            while (state := client.get(poll).json["state"]) in ("queued", "running"):
+                assert time.monotonic() < deadline, "embed job stuck"
+                time.sleep(0.02)
+            assert state == "succeeded"
+            artifacts.append(client.get(poll + "/artifact").body)
+        assert artifacts[0] == artifacts[1]
 
 
 class TestLandmarkParams:
@@ -83,15 +79,12 @@ class TestKmeansAlgorithm:
 
 class TestParallelTelemetry:
     def test_parallel_block_shape(self, client):
-        # Force at least one pooled kernel run first.
-        client.get("/api/embedding?n_iter=30&tsne_method=bh&workers=2")
-        data = client.get("/api/telemetry").json
-        parallel = data["parallel"]
-        assert parallel["budget"] >= 1
-        assert isinstance(parallel["pools"], dict)
-        assert parallel["pools"], "pooled kernel runs must be reported"
+        # Force at least one blockwise kernel run first.
+        client.get("/api/embedding?n_iter=30&tsne_method=bh")
+        parallel = client.get("/api/telemetry").json["parallel"]
+        assert list(parallel) == ["pools"]
+        assert parallel["pools"], "blockwise kernel runs must be reported"
         for stats in parallel["pools"].values():
+            assert set(stats) == {"runs", "tasks"}
             assert stats["runs"] >= 1
             assert stats["tasks"] >= stats["runs"]
-            assert stats["fork_runs"] >= 0
-        assert isinstance(parallel["fallbacks"], dict)

@@ -7,9 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data.generator.simulate import CityConfig, generate_city
 from repro.data.timeseries import HourWindow
 from repro.db.engine import EnergyDatabase
+from repro.resilience import RetryPolicy
 from repro.stream import ReplayFeed, ShardRouter
 
 N_READERS = 8
@@ -81,10 +83,21 @@ class TestReadersDuringIngest:
             with errors_lock:
                 errors.append(exc)
 
+        # Zero backoff, and enough attempts that an injected tick-fault
+        # plan (15% under the chaos job) cannot exhaust a tick: at 10
+        # attempts that takes 0.15**10 ~ 6e-9 per tick.
+        retry = RetryPolicy(
+            max_attempts=10,
+            base_delay=0.0,
+            max_delay=0.0,
+            sleeper=lambda s: None,
+            metrics=obs.MetricsRegistry(),
+        )
+
         def writer() -> None:
             try:
                 ShardRouter(db, rest.customer_ids).replay(
-                    ReplayFeed(rest, hours_per_tick=4)
+                    ReplayFeed(rest, hours_per_tick=4, retry=retry)
                 )
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 record(exc)
