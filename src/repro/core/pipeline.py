@@ -62,10 +62,10 @@ from repro.preprocess.features import FeatureKind, extract_features
 from repro.preprocess.imputation import impute
 from repro.preprocess.normalize import normalize_matrix
 from repro.preprocess.quality import DataQualityReport, assess_quality
-from repro.resilience.breaker import BreakerOpen, CircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 
-# Kernel operations guarded by a circuit breaker (and therefore able to
-# degrade to their last-good result when the breaker is open).
+# Kernel operations guarded by a circuit breaker: while one is open, a
+# cache miss for it raises BreakerOpen instead of running the kernel.
 BREAKER_OPS = ("embed", "density")
 
 # LRU bound on cached granularity sweeps.  Each entry is keyed on the
@@ -113,11 +113,11 @@ class VapSession:
         Per-operation circuit breakers for the heavy kernels (keys from
         :data:`BREAKER_OPS`).  Defaults are built when omitted; pass
         ``{}`` to disable breaking entirely.  While a breaker is open,
-        cache *misses* for its operation return the last successfully
-        computed result with a ``degraded`` marker (see
-        :meth:`embed_degradable`) instead of running the kernel; with no
-        last-good result, :class:`~repro.resilience.breaker.BreakerOpen`
-        propagates and the API layer answers 503 + Retry-After.
+        cache *hits* for its operation still answer exactly, and cache
+        *misses* raise :class:`~repro.resilience.breaker.BreakerOpen`
+        instead of running the kernel — the API layer answers 503 +
+        Retry-After.  No request is ever answered with the result of
+        another cache key.
     """
 
     def __init__(
@@ -184,13 +184,6 @@ class VapSession:
                 for op in BREAKER_OPS
             }
         self.breakers = breakers
-        # Most recent successful (cache_key, value) per op — the
-        # degrade-to-last-good fallback.  Tagging the value with the
-        # single-flight cache key it was computed under lets a
-        # breaker-open response say exactly *which* parameters the
-        # served result belongs to (it may not match the request's).
-        self._last_good: dict[str, tuple[object, object]] = {}
-        self._last_good_lock = threading.Lock()
 
     @classmethod
     def from_city(
@@ -236,34 +229,15 @@ class VapSession:
         self.metrics.counter("pipeline_cache_evictions_total", cache=cache).inc()
 
     def _flight(self, cache: SingleFlightCache, op: str, key, compute):
-        """Run ``compute`` through a cache with single-flight semantics."""
-        value, _ = self._flight_degradable(cache, op, key, compute)
-        return value
-
-    def _flight_degradable(
-        self, cache: SingleFlightCache, op: str, key, compute
-    ) -> tuple[object, dict | bool]:
-        """Single-flight caching with circuit breaking; returns
-        ``(value, degraded)``.
-
-        ``degraded`` is ``False`` on the healthy path.  On a
-        breaker-open fallback it is a dict describing exactly what was
-        served: ``served_key`` (the cache key the last-good value was
-        computed under), ``requested_key``, and ``exact`` (whether they
-        match) — so a response built from parameters other than the
-        request's is never silent.
+        """Run ``compute`` through a cache with single-flight semantics.
 
         Leaders count as cache misses, hits and deduplicated waiters as
         hits (they did not compute); both leader and waiter outcomes are
         additionally recorded in ``pipeline_singleflight_total``.  A
         bound request deadline caps how long a waiter blocks and is
-        checked before leading a computation.
-
-        When ``op`` has a circuit breaker, the leader computes through
-        it; a refused call (breaker open) degrades to the operation's
-        last-good result — ``degraded`` True — rather than erroring, and
-        propagates :class:`~repro.resilience.breaker.BreakerOpen` only
-        when there is nothing to fall back to.
+        checked before leading a computation.  When ``op`` has a circuit
+        breaker, the leader computes through it, so only misses can be
+        refused.
 
         Raises
         ------
@@ -271,8 +245,7 @@ class VapSession:
             When the bound deadline expired, or elapsed while waiting
             for another thread's in-flight computation.
         BreakerOpen
-            When the breaker refuses the call and no last-good result
-            exists for this operation.
+            When ``key`` is not cached and the breaker refuses the call.
         """
         deadline = current_deadline()
         timeout = None
@@ -287,45 +260,12 @@ class VapSession:
             raise DeadlineExceeded(
                 f"request deadline exceeded waiting for in-flight {op}"
             ) from None
-        except BreakerOpen:
-            # Prefer the exact cached value for this key (the breaker
-            # only guards *misses*); otherwise fall back to the op's
-            # last-good value, reporting whose parameters it carries.
-            exact = cache.peek(key)
-            if exact is not None:
-                served_key = key
-                fallback = exact
-            else:
-                with self._last_good_lock:
-                    last = self._last_good.get(op)
-                if last is None:
-                    raise
-                served_key, fallback = last
-            degraded = {
-                "reason": "breaker_open",
-                "served_key": str(served_key),
-                "requested_key": str(key),
-                "exact": served_key == key,
-            }
-            self.metrics.counter("pipeline_degraded_total", op=op).inc()
-            obs.log_event(
-                "pipeline.degraded",
-                level="warning",
-                op=op,
-                reason="breaker_open",
-                served_key=str(served_key),
-                requested_key=str(key),
-                exact=served_key == key,
-            )
-            return fallback, degraded
         self._cache(op, hit=outcome == HIT)
         if outcome != HIT:
             self.metrics.counter(
                 "pipeline_singleflight_total", op=op, result=outcome
             ).inc()
-        with self._last_good_lock:
-            self._last_good[op] = (key, value)
-        return value, False
+        return value
 
     # ------------------------------------------------------------------
     # typical patterns (views B and C)
@@ -349,33 +289,25 @@ class VapSession:
         ------
         ValueError
             For an invalid option.
+        BreakerOpen
+            When the embedding is not cached and the embed breaker is
+            open.
         """
-        info, _ = self.embed_spec(EmbedParams(**options))
-        return info
-
-    def embed_degradable(self, **options) -> tuple[EmbeddingInfo, dict | bool]:
-        """:meth:`embed`, reporting degradation: ``(info, degraded)``."""
         return self.embed_spec(EmbedParams(**options))
 
-    def embed_spec(self, params: EmbedParams) -> tuple[EmbeddingInfo, dict | bool]:
-        """The embedding ``params`` describes; returns ``(info, degraded)``.
+    def embed_spec(self, params: EmbedParams) -> EmbeddingInfo:
+        """The embedding ``params`` describes.
 
         Cached per ``params.key(n)``: the resolved engine plus the
         options it reads, so requests whose runs would be byte-identical
         (another ``seed`` under exact t-SNE, perplexities clamped alike,
         any t-SNE option under MDS) share one run.
 
-        ``degraded`` is falsy on the healthy path.  When the embed
-        circuit breaker refused the computation and ``info`` is the
-        session's last successfully computed embedding, ``degraded`` is
-        a (truthy) dict recording the ``served_key`` vs the
-        ``requested_key`` — possibly different parameters — so the
-        serving layer marks such responses instead of failing them.
-
         Raises
         ------
         BreakerOpen
-            Breaker open with no last-good embedding to fall back to.
+            When the embedding is not cached and the embed breaker is
+            open.
         """
         if params.feature_kind is None:
             params = replace(params, feature_kind=self.feature_kind)
@@ -417,7 +349,7 @@ class VapSession:
                 objective=objective,
             )
 
-        return self._flight_degradable(
+        return self._flight(
             self._embeddings, "embed", params.key(len(self.series)), compute
         )
 
@@ -430,27 +362,28 @@ class VapSession:
 
     def proposals(
         self, method: str = "tsne", min_points: int = 5, min_size: int = 5
-    ) -> tuple[list[tuple[Proposal, PatternLabel]], dict | bool]:
+    ) -> list[tuple[Proposal, PatternLabel]]:
         """DBSCAN selection proposals over the default embedding for
         ``method``, largest first, each with its :meth:`pattern_of`
-        label; returns ``(proposals, degraded)``.
+        label.
 
         Cached with single-flight misses, keyed on the requested
         embedding's :meth:`~repro.core.params.EmbedParams.key` plus
         ``min_points`` and ``min_size``.  The series the
         embedding is computed from never changes after construction, so
-        no data end hour is part of the key.  When the embedding is a
-        breaker-open fallback, ``degraded`` is its served/requested-key
-        record and the proposals are computed from it but not cached.
+        no data end hour is part of the key.
 
         Raises
         ------
         ValueError
             For an unknown method, a non-positive ``min_points`` or
             ``min_size``, or too few points to estimate epsilon.
+        BreakerOpen
+            When the embedding is not cached and the embed breaker is
+            open.
         """
         params = EmbedParams(method=method, feature_kind=self.feature_kind)
-        info, degraded = self.embed_spec(params)
+        info = self.embed_spec(params)
 
         def compute() -> list[tuple[Proposal, PatternLabel]]:
             # Looked up on the module at call time, so a wrapper
@@ -460,10 +393,8 @@ class VapSession:
             )
             return [(p, self.pattern_of(p.indices)) for p in found]
 
-        if degraded:
-            return compute(), degraded
         key = (*params.key(len(self.series)), min_points, min_size)
-        return self._flight(self._proposals, "proposals", key, compute), False
+        return self._flight(self._proposals, "proposals", key, compute)
 
     def member_labels(self) -> list[PatternLabel]:
         """Template labels for every customer (population context), cached."""
@@ -634,31 +565,12 @@ class VapSession:
         surfaces never alias.  Results are cached per ``(window,
         bandwidth, customers, grid, method)`` with single-flight misses,
         so concurrent identical heat-map requests run the KDE kernel once.
-        """
-        grid, _ = self.density_degradable(
-            window, bandwidth_m=bandwidth_m, customer_ids=customer_ids,
-            method=method,
-        )
-        return grid
-
-    def density_degradable(
-        self,
-        window: HourWindow,
-        bandwidth_m: float | None = None,
-        customer_ids: list[int] | None = None,
-        method: str = "auto",
-    ) -> tuple[DensityGrid, dict | bool]:
-        """:meth:`density`, reporting degradation: ``(grid, degraded)``.
-
-        ``degraded`` is falsy on the healthy path, or a (truthy) dict
-        recording the served vs requested cache key when the density
-        circuit breaker refused the computation and ``grid`` is the last
-        successfully computed surface (possibly for a different window).
 
         Raises
         ------
         BreakerOpen
-            Breaker open with no last-good density to fall back to.
+            When the surface is not cached and the density breaker is
+            open.
         """
         return self._density_at(
             window, self.db.time_span, bandwidth_m, customer_ids, method
@@ -671,8 +583,8 @@ class VapSession:
         bandwidth_m: float | None,
         customer_ids: list[int] | None,
         method: str,
-    ) -> tuple[DensityGrid, dict | bool]:
-        """:meth:`density_degradable` over ``window`` clipped to ``span``,
+    ) -> DensityGrid:
+        """:meth:`density` over ``window`` clipped to ``span``,
         a data span read once by the caller (so one request's densities
         all see the same end hour)."""
         spec = self.grid()
@@ -699,10 +611,7 @@ class VapSession:
                     method=method,
                 )
 
-        value, degraded = self._flight_degradable(
-            self._densities, "density", key, compute
-        )
-        return value, degraded
+        return self._flight(self._densities, "density", key, compute)
 
     def shift(
         self,
@@ -712,39 +621,32 @@ class VapSession:
         customer_ids: list[int] | None = None,
         method: str = "auto",
     ) -> ShiftField:
-        """Eq. 4: the density difference between two windows."""
-        field, _ = self.shift_degradable(
-            t1, t2, bandwidth_m=bandwidth_m, customer_ids=customer_ids,
-            method=method,
-        )
-        return field
+        """Eq. 4: the density difference between two windows.
 
-    def shift_degradable(
-        self,
-        t1: HourWindow,
-        t2: HourWindow,
-        bandwidth_m: float | None = None,
-        customer_ids: list[int] | None = None,
-        method: str = "auto",
-    ) -> tuple[ShiftField, dict | bool]:
-        """:meth:`shift`, reporting degradation: ``(field, degraded)``.
+        Both windows are clipped to one read of the data span, so a tick
+        landing between the two densities cannot give them different end
+        hours.
 
-        ``degraded`` is falsy unless either underlying density came from
-        the breaker-open fallback path (then it is that density's
-        served/requested-key record).  Both windows are clipped to one
-        read of the data span, so a tick landing between the two
-        densities cannot give them different end hours.
+        Raises
+        ------
+        BreakerOpen
+            When either surface is not cached and the density breaker is
+            open.
         """
         with obs.span("pipeline.shift"), \
                 self.metrics.timer("pipeline_seconds", op="shift"):
             span = self.db.time_span
-            before, degraded_1 = self._density_at(
-                t1, span, bandwidth_m, customer_ids, method
-            )
-            after, degraded_2 = self._density_at(
-                t2, span, bandwidth_m, customer_ids, method
-            )
-            return ShiftField.between(before, after), degraded_1 or degraded_2
+            before = self._density_at(t1, span, bandwidth_m, customer_ids, method)
+            after = self._density_at(t2, span, bandwidth_m, customer_ids, method)
+            return ShiftField.between(before, after)
+
+    # Plain aliases kept only because ``TRACED`` in
+    # benchmarks/e2e/server.py wraps these names in ``--trace`` mode
+    # (that file is the frozen benchmark harness); the HTTP handlers call
+    # them so a traced run still times the pipeline layer.
+    embed_degradable = embed
+    density_degradable = density
+    shift_degradable = shift
 
     # ------------------------------------------------------------------
     # rollup-backed sweeps (S2)

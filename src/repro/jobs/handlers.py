@@ -137,7 +137,7 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
     else:
         # MDS runs have no iterative checkpoint; compute through the
         # session (single-flight cached) like the synchronous endpoint.
-        info, _ = session.embed_spec(params)
+        info = session.embed_spec(params)
         coords = info.coords
         objective = info.objective
         trace = []

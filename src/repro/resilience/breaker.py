@@ -9,15 +9,18 @@ the classic three states:
   threshold (with at least ``min_calls`` observations, so one early
   failure cannot trip an idle breaker), the breaker opens;
 - **open** — calls are refused instantly with :class:`BreakerOpen`
-  (callers degrade or shed instead of queueing on a known-bad path)
-  until ``open_seconds`` of cooldown elapse;
+  (callers shed instead of queueing on a known-bad path) until
+  ``open_seconds`` of cooldown elapse;
 - **half-open** — a bounded number of trial calls probe the dependency;
   one success closes the breaker and clears the window, one failure
   re-opens it for another cooldown.
 
 State is exported as the ``breaker_state{breaker}`` gauge (0 closed,
 1 half-open, 2 open) plus a ``breaker_transitions_total`` counter, so
-``/api/telemetry`` can show which kernels are degraded right now.
+``/api/telemetry`` can show which kernels are refusing work right now.
+:class:`~repro.core.pipeline.VapSession` guards only cache misses, so an
+open breaker never blocks a cached answer; a refused miss surfaces as
+:class:`BreakerOpen`, which the API answers with 503 + Retry-After.
 """
 
 from __future__ import annotations

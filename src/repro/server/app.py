@@ -91,9 +91,11 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       (default), svg flamegraph, or json
 ====================================  =======================================
 
-Errors return ``{"error": ...}`` with 400/404/405 status.  Answers built
-from a breaker-open fallback (embedding, selection, proposals, density,
-shift) carry ``"degraded": true`` and the served vs requested cache key.
+Errors return ``{"error": ...}`` with 400/404/405 status.  While a
+kernel's circuit breaker is open, a request whose result is cached
+(embedding, selection, proposals, density, shift) still answers exactly;
+one that would run the kernel answers 503 with ``Retry-After`` set to
+the breaker's remaining open window — never another request's result.
 The app is a plain WSGI callable — serve it with any WSGI server, or
 in-process through :class:`repro.server.client.TestClient`.
 
@@ -424,8 +426,8 @@ class VapApp:
                 ("Retry-After", str(self._backpressure.retry_after))
             )
         except BreakerOpen as exc:
-            # The kernel's circuit is open and the session had no cached
-            # result to degrade to: shed with an honest Retry-After —
+            # The kernel's circuit is open and the request's result is
+            # not cached: shed with an honest Retry-After —
             # the breaker's remaining open window when it can say, the
             # backpressure constant otherwise.
             retry_after = self._breaker_retry_after(exc)
@@ -815,17 +817,12 @@ class VapApp:
         }
 
     def _resilience_payload(self, snapshot: dict) -> dict:
-        """Breaker states, retry totals, degraded serves and injected
-        faults — the ``resilience`` block of ``/api/telemetry``."""
+        """Breaker states, retry totals and injected faults — the
+        ``resilience`` block of ``/api/telemetry``."""
         retries = {
             record["labels"].get("site", "?"): record["value"]
             for record in snapshot["counters"]
             if record["name"] == "retry_attempts_total"
-        }
-        degraded = {
-            record["labels"].get("op", "?"): record["value"]
-            for record in snapshot["counters"]
-            if record["name"] == "pipeline_degraded_total"
         }
         faults = {
             f"{record['labels'].get('site', '?')}:"
@@ -839,7 +836,6 @@ class VapApp:
                 for op, breaker in sorted(self.session.breakers.items())
             },
             "retry_attempts_total": retries,
-            "degraded_total": degraded,
             "faults_injected_total": faults,
         }
         injector = active_injector()
@@ -937,31 +933,14 @@ class VapApp:
         }
 
     def embedding(self, request: Request) -> dict:
-        info, degraded = request.session.embed_spec(
-            EmbedParams.parse(request.query)
-        )
-        payload = {
+        info = request.session.embed_spec(EmbedParams.parse(request.query))
+        return {
             "method": info.method,
             "metric": info.metric,
             "objective": info.objective,
             "customer_ids": request.session.series.customer_ids,
             "points": info.coords,
         }
-        if degraded:
-            # Breaker-open fallback: the last-good embedding, which may
-            # not match the requested parameters — flagged (with the
-            # served vs requested cache keys) so clients can render it
-            # dimmed and retry later.
-            self._mark_degraded(payload, degraded)
-        return payload
-
-    @staticmethod
-    def _mark_degraded(payload: dict, degraded: dict | bool) -> None:
-        """Flag a breaker-open fallback response, recording which cache
-        key the served value was actually computed under."""
-        payload["degraded"] = True
-        if isinstance(degraded, dict):
-            payload["degraded_served"] = degraded
 
     def selection(self, request: Request) -> dict:
         body = request.body
@@ -996,25 +975,21 @@ class VapApp:
             if isinstance(exc, ApiError):
                 raise
             raise ApiError(400, f"bad selection geometry: {exc}") from exc
-        info, degraded = request.session.embed_degradable(
+        info = request.session.embed_degradable(
             method=str(body.get("method", "tsne")),
         )
         indices = selector.apply(info.coords)
         if indices.size == 0:
-            payload = {"indices": [], "customer_ids": [], "count": 0}
-        else:
-            pattern = request.session.pattern_of(indices)
-            payload = {
-                "indices": indices,
-                "customer_ids": request.session.customers_of(indices),
-                "count": int(indices.size),
-                "pattern": pattern.archetype.value,
-                "pattern_score": pattern.score,
-                "profile": request.session.profile_of(indices),
-            }
-        if degraded:
-            self._mark_degraded(payload, degraded)
-        return payload
+            return {"indices": [], "customer_ids": [], "count": 0}
+        pattern = request.session.pattern_of(indices)
+        return {
+            "indices": indices,
+            "customer_ids": request.session.customers_of(indices),
+            "count": int(indices.size),
+            "pattern": pattern.archetype.value,
+            "pattern_score": pattern.score,
+            "profile": request.session.profile_of(indices),
+        }
 
     def _window(self, request: Request, prefix: str) -> HourWindow:
         start = request.param_int(f"{prefix}_start")
@@ -1031,12 +1006,12 @@ class VapApp:
 
     def density(self, request: Request) -> dict:
         window = self._window(request, "t")
-        grid, degraded = request.session.density_degradable(
+        grid = request.session.density_degradable(
             window,
             bandwidth_m=self._bandwidth(request),
             method=request.param_str("kde_method", "auto"),
         )
-        payload = {
+        return {
             "nx": grid.spec.nx,
             "ny": grid.spec.ny,
             "bbox": [
@@ -1048,21 +1023,18 @@ class VapApp:
             "values": grid.values,
             "max_cell": list(grid.max_cell()),
         }
-        if degraded:
-            self._mark_degraded(payload, degraded)
-        return payload
 
     def shift(self, request: Request) -> dict:
         t1 = self._window(request, "t1")
         t2 = self._window(request, "t2")
-        field, degraded = request.session.shift_degradable(
+        field = request.session.shift_degradable(
             t1,
             t2,
             bandwidth_m=self._bandwidth(request),
             method=request.param_str("kde_method", "auto"),
         )
         flows = major_flows(field)
-        payload = {
+        return {
             "energy": field.energy(),
             "peak_gain": list(field.peak_gain()),
             "peak_loss": list(field.peak_loss()),
@@ -1075,9 +1047,6 @@ class VapApp:
                 for f in flows
             ],
         }
-        if degraded:
-            self._mark_degraded(payload, degraded)
-        return payload
 
     @staticmethod
     def _num(value: float) -> float | None:
@@ -1153,7 +1122,7 @@ class VapApp:
         """Auto-discovered selection proposals (DBSCAN over view C), each
         labelled with its pattern; params ``method``, ``min_points``,
         ``min_size``."""
-        proposals, degraded = request.session.proposals(
+        proposals = request.session.proposals(
             method=request.param_str("method", "tsne"),
             min_points=request.param_int("min_points", 5),
             min_size=request.param_int("min_size", 5),
@@ -1169,10 +1138,7 @@ class VapApp:
             }
             for proposal, label in proposals
         ]
-        payload = {"proposals": out, "count": len(out)}
-        if degraded:
-            self._mark_degraded(payload, degraded)
-        return payload
+        return {"proposals": out, "count": len(out)}
 
     # ------------------------------------------------------------------
     # async jobs: submit → poll → artifact

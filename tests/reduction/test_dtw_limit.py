@@ -77,11 +77,11 @@ class TestMaxRowsOverride:
 
     def test_pipeline_rejects_values_over_the_ceiling(self, small_session):
         with pytest.raises(ValueError, match="dtw_max_rows"):
-            small_session.embed_degradable(
+            small_session.embed(
                 metric="dtw", dtw_max_rows=MAX_DTW_ROWS_CEILING + 1
             )
         with pytest.raises(ValueError, match="dtw_max_rows"):
-            small_session.embed_degradable(metric="dtw", dtw_max_rows=0)
+            small_session.embed(metric="dtw", dtw_max_rows=0)
 
 
 class TestCrossBudget:

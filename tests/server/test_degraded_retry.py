@@ -1,9 +1,9 @@
-"""Bugfix sweep regressions: degraded-serving provenance and honest
-``Retry-After`` on breaker-open 503s.
+"""Breaker-open answers: the requested key or a 503, with an honest
+``Retry-After``.
 
-- A breaker-open fallback response must say *which* cache key it was
-  actually computed under (``degraded_served``), so clients can tell an
-  exact stale hit from a cross-parameter last-good surface.
+- While a breaker is open, a cache hit answers exactly and a miss for
+  any other key (another window, other embedding parameters) is a 503 —
+  never the result computed under another key.
 - A breaker-open 503's ``Retry-After`` must reflect the breaker's
   remaining open window rather than a constant.
 """
@@ -55,23 +55,16 @@ def _body(response) -> dict:
 
 
 class TestDegradedServedKey:
-    def test_cross_window_fallback_records_both_keys(self, city):
+    def test_cross_window_miss_is_503(self, city):
         session, client = _build(city)
         warm = client.get("/api/density?t_start=0&t_end=4")
         assert warm.ok
         _trip(session.breakers["density"])
         response = client.get("/api/density?t_start=4&t_end=8")
-        assert response.status == 200
+        assert response.status == 503
         payload = _body(response)
-        assert payload["degraded"] is True
-        served = payload["degraded_served"]
-        assert served["reason"] == "breaker_open"
-        assert served["exact"] is False
-        assert served["served_key"] != served["requested_key"]
-        # The keys are real cache keys: the served one names the warm
-        # window, the requested one the window that was refused.
-        assert "0, 4" in served["served_key"]
-        assert "4, 8" in served["requested_key"]
+        assert payload["breaker"] == "pipeline.density"
+        assert "values" not in payload
 
     def test_exact_cache_hit_while_open_is_not_degraded(self, city):
         session, client = _build(city)
@@ -82,7 +75,7 @@ class TestDegradedServedKey:
         assert "degraded" not in _body(again)
         assert _body(again)["values"] == _body(warm)["values"]
 
-    def test_cross_parameter_embedding_fallback_is_flagged(self, city):
+    def test_cross_parameter_embedding_miss_is_503(self, city):
         session, client = _build(city)
         warm = client.get("/api/embedding?method=tsne&n_iter=30&seed=1")
         assert warm.ok
@@ -90,11 +83,14 @@ class TestDegradedServedKey:
         # Another n_iter is another embedding (another seed would be the
         # same one: exact t-SNE with PCA init never reads it).
         response = client.get("/api/embedding?method=tsne&n_iter=31")
-        assert response.status == 200
+        assert response.status == 503
         payload = _body(response)
-        assert payload["degraded"] is True
-        assert payload["degraded_served"]["exact"] is False
-        assert payload["points"] == _body(warm)["points"]
+        assert payload["breaker"] == "pipeline.embed"
+        assert "points" not in payload
+        # The warm embedding itself is still a hit.
+        assert client.get("/api/embedding?method=tsne&n_iter=30&seed=1").body == (
+            warm.body
+        )
 
 
 class TestBreakerRetryAfter:

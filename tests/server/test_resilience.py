@@ -1,4 +1,4 @@
-"""Server-level resilience: degraded serving, 503 shedding, telemetry."""
+"""Server-level resilience: breaker-open 503s, shedding, telemetry."""
 
 import json
 
@@ -42,28 +42,30 @@ def _body(response) -> dict:
 
 
 class TestDegradedServing:
-    def test_breaker_open_serves_last_good_not_500(self, chaos_city):
-        """The acceptance scenario: a breaker-open cache miss answers 200
-        with the last-good surface and a degraded marker — never a 500."""
+    def test_breaker_open_miss_is_503_not_500(self, chaos_city):
+        """A breaker-open cache miss answers 503 + Retry-After — never a
+        500, and never the last surface computed for another window."""
         session, client = _build(chaos_city)
         warm = client.get("/api/density?t_start=0&t_end=4")
-        assert warm.ok and "degraded" not in _body(warm)
+        assert warm.ok
 
         _trip(session.breakers["density"])
         # A different window misses the cache, so the kernel would run —
-        # the open breaker refuses and the warm surface is served instead.
+        # the open breaker refuses it.
         response = client.get("/api/density?t_start=4&t_end=8")
-        assert response.status == 200
+        assert response.status == 503
         payload = _body(response)
-        assert payload["degraded"] is True
-        assert payload["values"] == _body(warm)["values"]
+        assert payload["breaker"] == "pipeline.density"
+        # The breaker's remaining open window, on the real clock.
+        assert 0 < payload["retry_after_seconds"] <= 30
+        assert response.headers["Retry-After"] == str(payload["retry_after_seconds"])
 
     def test_breaker_open_cache_hits_still_exact(self, chaos_city):
         session, client = _build(chaos_city)
         warm = client.get("/api/density?t_start=0&t_end=4")
         _trip(session.breakers["density"])
         again = client.get("/api/density?t_start=0&t_end=4")
-        assert again.ok and "degraded" not in _body(again)
+        assert again.ok and again.body == warm.body
 
     def test_breaker_open_without_fallback_is_503_with_retry_after(
         self, chaos_city
@@ -76,7 +78,7 @@ class TestDegradedServing:
         payload = _body(response)
         assert payload["breaker"] == "pipeline.embed"
 
-    def test_shift_marks_degraded_when_either_window_degrades(self, chaos_city):
+    def test_shift_503_when_either_window_misses(self, chaos_city):
         session, client = _build(chaos_city)
         warm = client.get("/api/shift?t1_start=0&t1_end=4&t2_start=4&t2_end=8")
         assert warm.ok
@@ -84,16 +86,12 @@ class TestDegradedServing:
         response = client.get(
             "/api/shift?t1_start=0&t1_end=4&t2_start=8&t2_end=12"
         )
-        assert response.status == 200
-        assert _body(response)["degraded"] is True
-
-    def test_degradation_counted(self, chaos_city):
-        session, client = _build(chaos_city)
-        client.get("/api/density?t_start=0&t_end=4")
-        _trip(session.breakers["density"])
-        client.get("/api/density?t_start=4&t_end=8")
-        counter = session.metrics.counter("pipeline_degraded_total", op="density")
-        assert counter.value == 1
+        assert response.status == 503
+        payload = _body(response)
+        assert payload["breaker"] == "pipeline.density"
+        assert response.headers["Retry-After"] == str(payload["retry_after_seconds"])
+        again = client.get("/api/shift?t1_start=0&t1_end=4&t2_start=4&t2_end=8")
+        assert again.ok and again.body == warm.body
 
 
 class TestTransientShedding:
@@ -124,7 +122,6 @@ class TestResilienceTelemetry:
         assert block["breakers"]["density"]["state"] == OPEN
         assert block["breakers"]["embed"]["state"] == "closed"
         assert block["retry_attempts_total"] == {"storage.load": 1}
-        assert block["degraded_total"] == {"density": 1}
 
     def test_telemetry_reports_armed_fault_plan(self, chaos_city):
         session, client = _build(chaos_city)

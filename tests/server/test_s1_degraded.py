@@ -1,16 +1,16 @@
-"""View C answers never silently come from another embedding.
+"""View C answers never come from another embedding.
 
 ``/api/selection`` and ``/api/proposals`` resolve against the default
 embedding for their ``method``.  While the embed breaker is open and that
-embedding is not cached, the session serves its last good embedding,
-which may have other parameters; both routes must then carry the
-``degraded`` marker, and proposals computed from the fallback must not
-be cached.  CI re-runs this file under a seeded ``kernel.tsne`` fault
-plan, where injected faults trip the breaker on their own.
+embedding is not cached, both routes answer 503 + Retry-After — never a
+body computed from another cached embedding — and no proposals are
+cached.  CI re-runs this file under a seeded ``kernel.tsne`` fault plan,
+where injected faults trip the breaker on their own.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import pytest
@@ -67,29 +67,24 @@ def _trip(breaker: CircuitBreaker) -> None:
 
 
 class TestFallbackEmbeddingIsFlagged:
-    def test_selection_and_proposals_carry_the_marker(self, city, reference):
-        session, breaker, client = _build(city, FakeClock())
+    def test_selection_and_proposals_shed_503(self, city):
+        clock = FakeClock()
+        session, breaker, client = _build(city, clock)
         with faults.disarmed():
             assert client.get("/api/embedding?seed=5&n_iter=30").ok
         _trip(breaker)
-        embedding = client.get("/api/embedding").json
-        assert embedding["degraded"] is True
+        clock.now += 10.5
         for response in (
+            client.get("/api/embedding"),
             client.post("/api/selection", json=KNN),
             client.post("/api/selection", json=FAR_RECT),
             client.get("/api/proposals"),
         ):
-            assert response.status == 200
-            body = response.json
-            assert body["degraded"] is True
-            served = body["degraded_served"]
-            assert served["exact"] is False
-            assert served["requested_key"] != served["served_key"]
-            assert served["served_key"] == embedding["degraded_served"]["served_key"]
-        assert client.post("/api/selection", json=FAR_RECT).json["count"] == 0
-        # Computed from the seed-5 embedding, so not the default answer,
-        # and never cached.
-        assert client.get("/api/proposals").body != reference["proposals"]
+            assert response.status == 503
+            assert response.json["breaker"] == "pipeline.embed"
+            expected = math.ceil(breaker.open_seconds - 10.5)
+            assert response.headers["Retry-After"] == str(expected)
+        # The seed-5 embedding stays cached, but nothing was built on it.
         assert len(session._proposals) == 0
 
     def test_answers_come_from_the_requested_embedding_once_closed(
@@ -100,8 +95,7 @@ class TestFallbackEmbeddingIsFlagged:
         with faults.disarmed():
             assert client.get("/api/embedding?seed=5&n_iter=30").ok
         _trip(breaker)
-        fallback = client.get("/api/proposals").json
-        assert fallback["degraded"] is True
+        assert client.get("/api/proposals").status == 503
         # Under a fault plan the half-open probe may fault and reopen the
         # breaker; keep waiting out the cooldown until a probe succeeds.
         for _ in range(20):
@@ -110,19 +104,17 @@ class TestFallbackEmbeddingIsFlagged:
             if response.status == 503:
                 continue
             assert response.status == 200
-            if "degraded" not in response.json:
-                break
+            break
         else:
             pytest.fail("the embed breaker never closed")
         assert response.body == reference["proposals"]
-        assert response.json != fallback
         assert client.post("/api/selection", json=KNN).body == reference["knn"]
 
 
 def test_injected_faults_never_leak_another_embedding(city, reference):
     """Under ``kernel.tsne`` faults (the CI plan, or the same plan armed
-    here), every 200 from selection and proposals either equals the
-    default embedding's answer or is marked degraded."""
+    here), every 200 from selection and proposals equals the default
+    embedding's answer; everything else is a 503."""
     clock = FakeClock()
     _, breaker, client = _build(
         city, clock, max_embeddings=1, failure_threshold=0.25, min_calls=2
@@ -132,7 +124,7 @@ def test_injected_faults_never_leak_another_embedding(city, reference):
         if faults.active_injector() is not None
         else faults.injected(faults.FaultPlan.parse("kernel.tsne=error:0.3", seed=42))
     )
-    seen = {"exact": 0, "degraded": 0, "shed": 0}
+    seen = {"exact": 0, "shed": 0}
     with plan:
         for step in range(40):
             # A new parameter set per step (n_iter changes the result; a
@@ -147,12 +139,8 @@ def test_injected_faults_never_leak_another_embedding(city, reference):
                     seen["shed"] += 1
                     continue
                 assert response.status == 200, response.json
-                if response.json.get("degraded"):
-                    assert response.json["degraded_served"]["exact"] is False
-                    seen["degraded"] += 1
-                else:
-                    assert response.body == reference[kind], (step, kind)
-                    seen["exact"] += 1
+                assert response.body == reference[kind], (step, kind)
+                seen["exact"] += 1
             if step % 3 == 2:
                 clock.now += breaker.open_seconds
-    assert seen["degraded"] > 0 and seen["exact"] > 0, seen
+    assert seen["shed"] > 0 and seen["exact"] > 0, seen

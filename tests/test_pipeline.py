@@ -612,7 +612,7 @@ class TestProposalsCache:
 
         def ask(i):
             barrier.wait(timeout=10.0)
-            results[i] = session.proposals(min_size=2)[0]
+            results[i] = session.proposals(min_size=2)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -641,9 +641,8 @@ class TestProposalsCache:
         ]
         results = [session.proposals(**kw) for kw in variants]
         assert len(session._proposals) == len(variants)
-        for kw, (result, degraded) in zip(variants, results):
-            assert degraded is False
-            assert session.proposals(**kw)[0] is result
+        for kw, result in zip(variants, results):
+            assert session.proposals(**kw) is result
         counts = {
             outcome: registry.counter(
                 "pipeline_cache_total", op="proposals", result=outcome
