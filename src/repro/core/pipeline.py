@@ -341,6 +341,9 @@ class VapSession:
                 seed=params.seed,
                 duration_ms=round(elapsed * 1000.0, 3),
             )
+            # Frozen: every cache hit shares this array (and the JSON
+            # codec keeps its encoded text while it lives).
+            result.embedding.flags.writeable = False
             return EmbeddingInfo(
                 coords=result.embedding,
                 method=method,
@@ -606,10 +609,13 @@ class VapSession:
                 "pipeline.density", start=window.start_hour, end=window.end_hour
             ), self.metrics.timer("pipeline_seconds", op="density"):
                 positions, values = self.db.demand(landed, customer_ids)
-                return kde_density(
+                grid = kde_density(
                     positions, values, spec, bandwidth_m=bandwidth_m,
                     method=method,
                 )
+            # Frozen like the embedding's coordinates.
+            grid.values.flags.writeable = False
+            return grid
 
         return self._flight(self._densities, "density", key, compute)
 

@@ -108,11 +108,6 @@ class SingleFlightCache(Generic[K, V]):
         with self._lock:
             return list(self._values)
 
-    def peek(self, key: K, default: V | None = None) -> V | None:
-        """The cached value, without refreshing recency or computing."""
-        with self._lock:
-            return self._values.get(key, default)
-
     def clear(self) -> None:
         """Drop every cached value (in-flight computations finish normally)."""
         with self._lock:

@@ -3,6 +3,11 @@
 numpy scalars/arrays, dataclass-like objects with ``to_record``, enums and
 the model result objects all serialise transparently; NaN/inf are mapped to
 ``null`` so the output is strict JSON any client can parse.
+
+A *frozen* array — read-only and owning its memory, as the session's
+density and embedding caches hold — is encoded once: its text is kept
+for as long as the array lives and spliced into every later payload that
+carries it, bare or as a top-level value of a dict.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import weakref
 from typing import Any
 
 import numpy as np
@@ -58,15 +64,61 @@ def _sanitize(value: Any) -> Any:
     raise TypeError(f"cannot serialise {type(value).__name__} to JSON")
 
 
+def _encode(value: Any) -> str:
+    return json.dumps(_sanitize(value), allow_nan=False, separators=(",", ":"))
+
+
+# Encoded text of frozen arrays, keyed on ``id``: each entry is dropped by
+# a ``weakref.finalize`` on its array, so it lives exactly as long as the
+# array (and its id cannot be reused while the entry exists).  Threads
+# racing on one array both encode it and store the same text, so no lock.
+_ENCODED: dict[int, str] = {}
+
+
+def _frozen(value: Any) -> bool:
+    """Whether ``value``'s contents can never change: a read-only ndarray
+    that owns its memory.  A read-only *view* is excluded — its base may
+    be written through another view."""
+    return (
+        isinstance(value, np.ndarray)
+        and not value.flags.writeable
+        and value.base is None
+    )
+
+
+def _frozen_text(array: np.ndarray) -> str:
+    key = id(array)
+    text = _ENCODED.get(key)
+    if text is None:
+        text = _encode(array)
+        _ENCODED[key] = text
+        weakref.finalize(array, _ENCODED.pop, key, None)
+    return text
+
+
 def dumps(value: Any) -> str:
     """Serialise to strict JSON text (no NaN literals).
+
+    A frozen array (read-only, owning its memory), passed bare or as a
+    top-level value of a dict, is encoded once per array lifetime; the
+    output bytes are the same either way.  Thawing a frozen array and
+    writing into it is not supported: its memoised text would go stale.
 
     Raises
     ------
     TypeError
         For unsupported object types.
     """
-    return json.dumps(_sanitize(value), allow_nan=False, separators=(",", ":"))
+    if _frozen(value):
+        return _frozen_text(value)
+    if isinstance(value, dict) and any(_frozen(v) for v in value.values()):
+        # Same key coercion (and collision rule) as ``_sanitize``.
+        items = {str(k): v for k, v in value.items()}
+        return "{" + ",".join(
+            json.dumps(k) + ":" + (_frozen_text(v) if _frozen(v) else _encode(v))
+            for k, v in items.items()
+        ) + "}"
+    return _encode(value)
 
 
 def loads(text: str | bytes) -> Any:

@@ -4,8 +4,13 @@
 ``json.dumps`` via ``tolist()``; only arrays holding NaN/inf (or objects)
 are walked element by element.  The reference below is that walk, written
 out independently, and the fast path must emit byte-identical JSON.
+
+A frozen array (read-only, owning its memory) is encoded once and its text
+reused while it lives; every encoding of it must still match the
+reference, and nothing else may be memoised.
 """
 
+import gc
 import json
 import math
 
@@ -69,17 +74,32 @@ ARRAYS = st.one_of(
 )
 
 
+def frozen_copy(array: np.ndarray) -> np.ndarray:
+    """A read-only copy that owns its memory: the codec memoises it."""
+    frozen = array.copy()
+    frozen.flags.writeable = False
+    return frozen
+
+
 class TestArrayEncoding:
+    # Each array goes in as generated and as a frozen copy, whose second
+    # encoding is served from the memo.
     @settings(max_examples=300, deadline=None)
     @given(ARRAYS)
     def test_matches_per_element_reference(self, array):
-        assert json_codec.dumps(array) == reference_dumps(array)
+        expected = reference_dumps(array)
+        for value in (array, frozen_copy(array)):
+            for _ in range(2):
+                assert json_codec.dumps(value) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(ARRAYS)
     def test_matches_reference_nested_in_a_payload(self, array):
-        expected = '{"values":' + reference_dumps(array) + "}"
-        assert json_codec.dumps({"values": array}) == expected
+        expected = '{"n":1,"values":' + reference_dumps(array) + ',"x":[null]}'
+        for value in (array, frozen_copy(array)):
+            for _ in range(2):
+                payload = {"n": 1, "values": value, "x": [math.nan]}
+                assert json_codec.dumps(payload) == expected
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_edge_values(self, dtype):
@@ -95,6 +115,29 @@ class TestArrayEncoding:
     def test_longdouble_still_walked(self):
         array = np.array([1.5, np.nan], dtype=np.longdouble)
         assert json_codec.dumps(array) == "[1.5,null]"
+
+
+class TestEncodeOnce:
+    def test_only_frozen_owned_arrays_are_memoised(self):
+        writable = np.arange(6.0)
+        view = frozen_copy(np.arange(6.0).reshape(2, 3))[1]
+        assert not view.flags.writeable and view.base is not None
+        frozen = frozen_copy(writable)
+        for array in (writable, view, frozen):
+            json_codec.dumps(array)
+            json_codec.dumps({"values": array})
+        assert id(writable) not in json_codec._ENCODED
+        assert id(view) not in json_codec._ENCODED
+        assert json_codec._ENCODED[id(frozen)] == "[0.0,1.0,2.0,3.0,4.0,5.0]"
+
+    def test_entry_dies_with_its_array(self):
+        frozen = frozen_copy(np.linspace(0.0, 1.0, 5))
+        json_codec.dumps({"values": frozen})
+        key = id(frozen)
+        assert key in json_codec._ENCODED
+        del frozen
+        gc.collect()
+        assert key not in json_codec._ENCODED
 
 
 class TestZeroDimensional:

@@ -346,6 +346,54 @@ class TestDensityCacheFreshness:
         assert a is session.density(HourWindow(HEAD_HOURS - 4, HEAD_HOURS))
 
 
+class TestEncodedDensityFreshness:
+    def test_density_body_matches_a_fresh_session_across_ticks(self, tick_city):
+        """The codec keeps each cached grid's JSON text while the grid
+        lives: repeats, and repeats after ticks move the key of a window
+        past the end, serve a fresh session's bytes at that end hour."""
+        from repro.server import TestClient, VapApp
+
+        session = _session_through(tick_city, HEAD_HOURS)
+        client = TestClient(VapApp(session))
+        urls = [
+            f"/api/density?t_start={HEAD_HOURS - 4}&t_end={HEAD_HOURS + 4}",
+            f"/api/density?t_start={HEAD_HOURS - 24}&t_end={HEAD_HOURS}"
+            "&kde_method=binned",
+        ]
+
+        def bodies():
+            got = [client.get(url) for url in urls]
+            assert all(r.status == 200 for r in got)
+            return [r.body for r in got]
+
+        def fresh_bodies(end_hour):
+            fresh = TestClient(VapApp(_session_through(tick_city, end_hour)))
+            return [fresh.get(url).body for url in urls]
+
+        before = bodies()
+        assert bodies() == before == fresh_bodies(HEAD_HOURS)
+        _tick(session, tick_city, 6)
+        after = bodies()
+        assert after[0] != before[0] and after[1] == before[1]
+        assert bodies() == after == fresh_bodies(HEAD_HOURS + 6)
+
+
+class TestCachedArraysFrozen:
+    def test_writing_into_a_cached_answer_raises(self, small_session):
+        window = HourWindow(0, 24)
+        grid = small_session.density(window)
+        info = small_session.embed(method="mds_classical")
+        kept = grid.values.copy(), info.coords.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            info.coords[0] = 0.0
+        assert np.array_equal(small_session.density(window).values, kept[0])
+        assert np.array_equal(
+            small_session.embed(method="mds_classical").coords, kept[1]
+        )
+
+
 class TestShiftEndHour:
     def test_shift_racing_a_tick_clips_both_windows_alike(
         self, tick_city, monkeypatch

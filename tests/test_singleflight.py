@@ -49,12 +49,6 @@ class TestSingleFlightCacheBasics:
         # The key is free again: a later call retries and can succeed.
         assert cache.get_or_compute("k", lambda: 7)[0] == 7
 
-    def test_peek_does_not_compute(self):
-        cache = SingleFlightCache()
-        assert cache.peek("k") is None
-        cache.get_or_compute("k", lambda: 5)
-        assert cache.peek("k") == 5
-
     def test_max_entries_validation(self):
         with pytest.raises(ValueError, match="max_entries"):
             SingleFlightCache(max_entries=0)
