@@ -4,6 +4,11 @@ numpy scalars/arrays, dataclass-like objects with ``to_record``, enums and
 the model result objects all serialise transparently; NaN/inf are mapped to
 ``null`` so the output is strict JSON any client can parse.
 
+A float array of at most double precision, bare or as a top-level value
+of a dict, is formatted in C by orjson and its number notation rewritten
+to Python's ``repr`` (see ``_float_text``), so the text equals what
+``json.dumps`` writes, byte for byte, at a fraction of the cost.
+
 A *frozen* array — read-only and owning its memory, as the session's
 density and embedding caches hold — is encoded once: its text is kept
 for as long as the array lives and spliced into every later payload that
@@ -15,10 +20,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 import weakref
 from typing import Any
 
 import numpy as np
+import orjson
 
 
 def _plain_tolist(array: np.ndarray) -> bool:
@@ -68,6 +75,67 @@ def _encode(value: Any) -> str:
     return json.dumps(_sanitize(value), allow_nan=False, separators=(",", ":"))
 
 
+def _float_array(value: Any) -> bool:
+    """Whether ``value`` is a float array whose ``tolist()`` yields Python
+    floats: at most double precision (longdouble yields numpy scalars)."""
+    return (
+        isinstance(value, np.ndarray)
+        and value.dtype.kind == "f"
+        and value.dtype.itemsize <= 8
+    )
+
+
+_E, _MINUS, _PLUS, _ZERO, _NINE = b"e-+09"
+_PLUS_ZERO = np.array([_PLUS, _ZERO], dtype=np.uint8)
+# orjson writes decimal exponent -5 out in full (``0.0000123``) where
+# ``repr`` switches to scientific notation (``1.23e-05``).  The lookbehind
+# keeps the match at the start of a number (``10.00001`` is left alone).
+_EXPONENT_MINUS_5 = re.compile(rb"(?<![0-9])0\.0000([1-9])([0-9]*)")
+
+
+def _scientific_minus_5(match: re.Match[bytes]) -> bytes:
+    lead, rest = match.groups()
+    return lead + (b"." + rest if rest else b"") + b"e-05"
+
+
+def _float_text(array: np.ndarray) -> str:
+    """A float array as JSON text, byte-identical to ``json.dumps`` of its
+    ``tolist()`` with NaN/inf as ``null``.
+
+    orjson prints the same shortest round-trip digits as ``repr`` and
+    writes NaN/inf as ``null``; only the notation differs, in three ways:
+    a positive exponent has no ``+`` (``1e16`` for ``1e+16``), a one-digit
+    exponent is not padded (``6.3e-8`` for ``6.3e-08``), and exponent -5
+    is written out (``0.0000123`` for ``1.23e-05``).
+    """
+    raw = orjson.dumps(array.tolist())
+    # The text holds only numbers, commas, brackets and null, so every
+    # ``e`` is an exponent marker.  The sentinel gives the exponent that
+    # ends a 0-d text a byte to look ahead at.
+    buf = np.frombuffer(raw + b"]", dtype=np.uint8)
+    marks = np.flatnonzero(buf == _E)
+    if marks.size:
+        negative = buf[marks + 1] == _MINUS
+        first = marks + 1 + negative
+        after = buf[first + 1]
+        single = (after < _ZERO) | (after > _NINE)
+        plus, pad = marks[~negative] + 1, first[single]
+        # Stable insertion: where both land at one index, ``+`` goes first.
+        raw = np.insert(
+            buf,
+            np.concatenate((plus, pad)),
+            np.repeat(_PLUS_ZERO, (plus.size, pad.size)),
+        )[:-1].tobytes()
+    if b"0.0000" in raw:
+        raw = _EXPONENT_MINUS_5.sub(_scientific_minus_5, raw)
+    return raw.decode("ascii")
+
+
+def _fresh_text(value: Any) -> str:
+    """Encode ``value`` now (no memo), a float array through orjson."""
+    return _float_text(value) if _float_array(value) else _encode(value)
+
+
 # Encoded text of frozen arrays, keyed on ``id``: each entry is dropped by
 # a ``weakref.finalize`` on its array, so it lives exactly as long as the
 # array (and its id cannot be reused while the entry exists).  Threads
@@ -90,35 +158,40 @@ def _frozen_text(array: np.ndarray) -> str:
     key = id(array)
     text = _ENCODED.get(key)
     if text is None:
-        text = _encode(array)
+        text = _fresh_text(array)
         _ENCODED[key] = text
         weakref.finalize(array, _ENCODED.pop, key, None)
     return text
 
 
+def _value_text(value: Any) -> str:
+    return _frozen_text(value) if _frozen(value) else _fresh_text(value)
+
+
 def dumps(value: Any) -> str:
     """Serialise to strict JSON text (no NaN literals).
 
-    A frozen array (read-only, owning its memory), passed bare or as a
-    top-level value of a dict, is encoded once per array lifetime; the
-    output bytes are the same either way.  Thawing a frozen array and
-    writing into it is not supported: its memoised text would go stale.
+    A float array (at most double precision), passed bare or as a
+    top-level value of a dict, is formatted by ``_float_text``; a frozen
+    array (read-only, owning its memory) in those places is encoded once
+    per array lifetime.  The output bytes are the same as the generic
+    walk's either way.  Thawing a frozen array and writing into it is not
+    supported: its memoised text would go stale.
 
     Raises
     ------
     TypeError
         For unsupported object types.
     """
-    if _frozen(value):
-        return _frozen_text(value)
-    if isinstance(value, dict) and any(_frozen(v) for v in value.values()):
+    if isinstance(value, dict) and any(
+        _frozen(v) or _float_array(v) for v in value.values()
+    ):
         # Same key coercion (and collision rule) as ``_sanitize``.
         items = {str(k): v for k, v in value.items()}
         return "{" + ",".join(
-            json.dumps(k) + ":" + (_frozen_text(v) if _frozen(v) else _encode(v))
-            for k, v in items.items()
+            json.dumps(k) + ":" + _value_text(v) for k, v in items.items()
         ) + "}"
-    return _encode(value)
+    return _value_text(value)
 
 
 def loads(text: str | bytes) -> Any:

@@ -1,9 +1,10 @@
-"""ndarray encoding: the ``tolist`` fast path against the per-element walk.
+"""ndarray encoding: the fast paths against the per-element walk.
 
-``json_codec`` hands bool, integer and all-finite float arrays straight to
-``json.dumps`` via ``tolist()``; only arrays holding NaN/inf (or objects)
-are walked element by element.  The reference below is that walk, written
-out independently, and the fast path must emit byte-identical JSON.
+``json_codec`` formats a float array (bare or a top-level dict value) with
+orjson and rewrites its notation to ``repr``'s; nested arrays it hands to
+``json.dumps`` via ``tolist()`` when that is already JSON-safe, and walks
+the rest element by element.  The reference below is that walk, written
+out independently, and every fast path must emit byte-identical JSON.
 
 A frozen array (read-only, owning its memory) is encoded once and its text
 reused while it lives; every encoding of it must still match the
@@ -13,6 +14,7 @@ reference, and nothing else may be memoised.
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.server import json_codec
+from repro.core.params import EmbedParams
+from repro.core.patterns.selection import RectSelection
+from repro.data.timeseries import HourWindow
+from repro.server import TestClient, VapApp, json_codec
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308]
 
@@ -157,3 +162,125 @@ class TestZeroDimensional:
     def test_inside_a_payload(self):
         text = json_codec.dumps({"a": np.array(2.0), "b": [np.array(np.nan)]})
         assert json_codec.loads(text) == {"a": 2.0, "b": [None]}
+
+
+def assert_matches_reference(array: np.ndarray) -> None:
+    """Compare token by token first, so a failure names the value."""
+    got, want = json_codec.dumps(array), reference_dumps(array)
+    if got != want:
+        pairs = zip(re.split(r"[\[\],]+", got), re.split(r"[\[\],]+", want))
+        assert [p for p in pairs if p[0] != p[1]][:5] == []
+        assert got == want
+
+
+class TestFormatterOracle:
+    """orjson's digits, rewritten to ``repr`` notation, against ``json.dumps``
+    over every exponent, precision and layout."""
+
+    def test_seeded_sweep_of_bit_patterns(self):
+        # Random bit patterns: both signs, every exponent, NaN and inf.
+        rng = np.random.default_rng(20_201)
+        for _ in range(10):
+            bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+            values = bits.view(np.float64)
+            assert_matches_reference(values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_matches_reference(values[:25_000].astype(np.float32))
+                assert_matches_reference(values[:25_000].astype(np.float16))
+
+    def test_seeded_sweep_of_notation_bands(self):
+        # Uniform mantissas over the decades where the notations differ,
+        # raw and rounded to a few decimals (short digit strings).
+        rng = np.random.default_rng(20_202)
+        scale = 10.0 ** rng.integers(-12, 24, size=200_000)
+        values = rng.uniform(-1.0, 1.0, size=200_000) * scale
+        assert_matches_reference(values)
+        assert_matches_reference(np.round(values, 6))
+        assert_matches_reference(np.floor(values * 1e3) / 1e3)
+
+    @pytest.mark.parametrize("boundary", [1e-5, 1e-4, 1e15, 1e16])
+    def test_decade_boundaries(self, boundary):
+        around = np.array(
+            [np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, np.inf)]
+        )
+        assert_matches_reference(np.concatenate((around, -around)))
+
+    def test_extremes(self):
+        big = np.finfo(np.float64).max
+        array = np.array([5e-324, -5e-324, big, -big, 0.0, -0.0, 1e22, -1e22])
+        assert_matches_reference(array)
+
+    @pytest.mark.parametrize("value", [1e-07, 3e-05, 1e16, -2.5e-05, 123.0])
+    def test_zero_dimensional_in_each_band(self, value):
+        array = np.array(value)
+        assert json_codec.dumps(array) == json.dumps(value)
+        assert json_codec.dumps(frozen_copy(array)) == json.dumps(value)
+        payload = {"v": array, "w": [array]}
+        assert json_codec.dumps(payload) == json.dumps(
+            {"v": value, "w": [value]}, separators=(",", ":")
+        )
+
+    def test_transposed_and_strided_views(self):
+        rng = np.random.default_rng(20_203)
+        base = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-8, 18, (40, 30))
+        base[::7, ::5] = np.nan
+        for view in (base.T, base[::3, ::-2], base[5:, 1], base.T[::-1, ::4]):
+            assert not view.flags.c_contiguous or view.ndim == 1
+            assert_matches_reference(view)
+            assert_matches_reference(view.astype(np.float32))
+
+
+def stdlib_body(body: bytes, **arrays: np.ndarray) -> bytes:
+    """``body`` re-encoded by the stdlib, with each named array spliced in
+    through the per-element reference under its own key."""
+    payload = json.loads(body)
+    for key, array in arrays.items():
+        assert key in payload
+        payload[key] = per_element(array.tolist())
+    text = json.dumps(payload, allow_nan=False, separators=(",", ":"))
+    return text.encode("utf-8")
+
+
+class TestApiBodies:
+    """Each float-array body equals the stdlib encoding of the session's
+    own arrays, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def client(self, small_session, small_city):
+        return TestClient(VapApp(small_session, layout=small_city.layout))
+
+    @pytest.mark.parametrize("method", ["exact", "binned"])
+    def test_density(self, client, small_session, method):
+        response = client.get(f"/api/density?t_start=48&t_end=60&kde_method={method}")
+        assert response.ok
+        grid = small_session.density(HourWindow(48, 60), method=method)
+        assert response.body == stdlib_body(response.body, values=grid.values)
+
+    def test_readings_with_nan_gaps(self, client, small_session):
+        db = small_session.db
+        row = int(np.flatnonzero(np.isnan(db.readings.matrix).any(axis=1))[0])
+        customer_id = db.customer_ids[row]
+        response = client.get(f"/api/customers/{customer_id}/readings")
+        assert response.ok
+        values = db.readings_for([customer_id], db.time_span).matrix[0]
+        assert np.isnan(values).any()
+        assert b"null" in response.body
+        assert response.body == stdlib_body(response.body, values=values)
+
+    def test_rect_selection(self, client, small_session):
+        geometry = {"x_min": -40.0, "y_min": -40.0, "x_max": 40.0, "y_max": 40.0}
+        response = client.post("/api/selection", json={"type": "rect", **geometry})
+        assert response.ok
+        coords = small_session.embed(method="tsne").coords
+        indices = RectSelection(*geometry.values()).apply(coords)
+        assert indices.size
+        profile = small_session.profile_of(indices)
+        assert response.body == stdlib_body(
+            response.body, indices=indices, profile=profile
+        )
+
+    def test_embedding(self, client, small_session):
+        response = client.get("/api/embedding?n_iter=60")
+        assert response.ok
+        coords = small_session.embed_spec(EmbedParams.parse({"n_iter": "60"})).coords
+        assert response.body == stdlib_body(response.body, points=coords)
