@@ -1,12 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands cover the tool's operational surface:
+Nine commands cover the tool's operational surface:
 
 - ``generate`` — synthesise a city and write customers + readings CSVs;
 - ``dashboard`` — build the composed Figure-3 HTML page from CSVs (or a
   freshly generated city when no input is given);
 - ``quality`` — print the data-quality report for a readings CSV;
-- ``sql`` — run a SQL SELECT against a customers CSV;
 - ``stats`` — run a representative workload through the full stack and
   print the observability snapshot (metrics, slowest operations and,
   with ``--spans``, trace trees); ``--dashboard out.svg`` also writes
@@ -76,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     quality = commands.add_parser("quality", help="data-quality report")
     quality.add_argument("readings_csv", type=Path)
-
-    sql = commands.add_parser("sql", help="query a customers CSV with SQL")
-    sql.add_argument("customers_csv", type=Path)
-    sql.add_argument("query")
 
     stats = commands.add_parser(
         "stats", help="run a sample workload and print collected metrics"
@@ -299,37 +294,6 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     width = max(len(k) for k in record)
     for key, value in record.items():
         print(f"{key:<{width}}  {value}")
-    return 0
-
-
-def _cmd_sql(args: argparse.Namespace) -> int:
-    from repro.db.sql import SqlError, execute_sql
-    from repro.db.table import Table
-    from repro.db.engine import CUSTOMER_SCHEMA
-
-    customers = load_customers(args.customers_csv)
-    table = Table("customers", CUSTOMER_SCHEMA)
-    table.insert_columns(
-        {
-            "customer_id": [c.customer_id for c in customers],
-            "lon": [c.lon for c in customers],
-            "lat": [c.lat for c in customers],
-            "zone": [c.zone.value for c in customers],
-            "archetype": [c.archetype.value for c in customers],
-        }
-    )
-    try:
-        rows = execute_sql({"customers": table}, args.query)
-    except SqlError as exc:
-        print(f"SQL error: {exc}", file=sys.stderr)
-        return 1
-    if not rows:
-        print("(no rows)")
-        return 0
-    headers = list(rows[0])
-    print("\t".join(headers))
-    for row in rows:
-        print("\t".join(str(row[h]) for h in headers))
     return 0
 
 
@@ -763,7 +727,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "dashboard": _cmd_dashboard,
     "quality": _cmd_quality,
-    "sql": _cmd_sql,
     "stats": _cmd_stats,
     "serve": _cmd_serve,
     "jobs": _cmd_jobs,

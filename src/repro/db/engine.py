@@ -163,21 +163,6 @@ class EnergyDatabase:
         """A fresh fluent query over the customers table."""
         return Query(self.table)
 
-    def sql(self, statement: str) -> list[dict[str, object]]:
-        """Run a SQL SELECT against the ``customers`` table.
-
-        See :mod:`repro.db.sql` for the supported dialect.
-
-        Raises
-        ------
-        repro.db.sql.SqlError
-            On parse errors or unknown tables/columns.
-        """
-        from repro.db.sql import execute_sql  # local: avoid import cycle
-
-        with self._timed("sql"):
-            return execute_sql({"customers": self.table}, statement)
-
     def bounding_box(self) -> BBox:
         """Smallest box covering every customer."""
         with self._read_lock:

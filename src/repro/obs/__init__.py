@@ -64,12 +64,6 @@ from repro.obs.registry import (
     set_exemplar_provider,
 )
 from repro.obs.sinks import NullSink, RingBufferSink
-from repro.obs.slo import (
-    OBSERVABILITY_ROUTE_PREFIXES,
-    SloEngine,
-    SloSpec,
-    default_slos,
-)
 from repro.obs.spans import SpanRecord, Tracer, span
 from repro.obs.timewindow import SlowOpLog, TimeWindowStore
 from repro.obs.tracecontext import TraceContext, current_remote_parent
@@ -85,9 +79,6 @@ __all__ = [
     "MetricsRegistry",
     "NullSink",
     "RingBufferSink",
-    "OBSERVABILITY_ROUTE_PREFIXES",
-    "SloEngine",
-    "SloSpec",
     "SlowOpLog",
     "SpanRecord",
     "StackProfiler",
@@ -102,7 +93,6 @@ __all__ = [
     "current_remote_parent",
     "current_tenant",
     "current_trace_id",
-    "default_slos",
     "get_logger",
     "get_registry",
     "get_slow_log",

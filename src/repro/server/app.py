@@ -46,8 +46,6 @@ Endpoints mirror what the paper's three views request from the logic layer:
 ``POST /api/rollups/rebuild``         force a full rollup rebuild from
                                       the database
 ``GET  /api/kmeans``                  S1d baseline labels; param ``k``
-``POST /api/sql``                     ad-hoc SELECT over the customers
-                                      table; body ``{"query": ...}``
 ``GET  /api/customers/<id>/forecast`` day-ahead forecast; params
                                       ``horizon``, ``method``
                                       (profile/seasonal/naive)
@@ -77,8 +75,7 @@ Endpoints mirror what the paper's three views request from the logic layer:
 ``GET  /api/telemetry``               self-monitoring dashboard data:
                                       rolling request-rate and latency
                                       windows, cache hit ratios, per-op
-                                      runtimes, SLO burn rates and error
-                                      budgets, slowest operations with
+                                      runtimes, slowest operations with
                                       request IDs; ``?format=svg``
                                       renders the SVG panel
 ``GET  /api/traces``                  finished traces, newest first;
@@ -155,9 +152,14 @@ _STATUS = {
 
 # Observability endpoints are never charged against a tenant quota — an
 # over-quota tenant must stay diagnosable.  Prefix-matched so the trace
-# and profile sub-paths (/api/traces/<id>) are covered too.  Shared with
-# the stock SLOs, which exclude the same routes from their scope.
-_UNCHARGED_PREFIXES = obs.OBSERVABILITY_ROUTE_PREFIXES
+# and profile sub-paths (/api/traces/<id>) are covered too.
+_UNCHARGED_PREFIXES = (
+    "/api/metrics",
+    "/api/telemetry",
+    "/api/health",
+    "/api/traces",
+    "/api/profile",
+)
 
 
 @dataclass(slots=True)
@@ -257,7 +259,6 @@ class VapApp:
         deadline_seconds: float | None = None,
         retry_after_seconds: float = 1.0,
         tenants: TenantRegistry | None = None,
-        slo_engine: obs.SloEngine | None = None,
         profiler: obs.StackProfiler | None = None,
         jobs: JobService | None = None,
         jobs_root: str | None = None,
@@ -287,12 +288,6 @@ class VapApp:
         self._metrics = registry
         self._window_store = window_store
         self._slow_log = slow_log
-        # Every app gets an SLO engine (stock availability + latency
-        # objectives) so /api/telemetry's slo block is always present;
-        # pass one with a dispatcher to get burn-rate alert delivery.
-        self.slo_engine = (
-            slo_engine if slo_engine is not None else obs.SloEngine()
-        )
         self.profiler = profiler
         # The async job service shares the app's tenant registry (same
         # quotas, same sessions).  When none is injected, one is built
@@ -325,7 +320,6 @@ class VapApp:
             route_resolver=self.router.pattern_of,
             window_store=window_store,
             slow_log=slow_log,
-            slo_engine=self.slo_engine,
         )
         self._start_time = self.metrics.clock()
 
@@ -396,7 +390,7 @@ class VapApp:
                 raise ApiError(404, f"no such endpoint: {request.path}")
             self._resolve_tenant(request)
             # Expose the resolved tenant to the metrics middleware (for
-            # the span/slow-op/SLO labels) and bind it to the context so
+            # the span and slow-op labels) and bind it to the context so
             # everything the handler runs — including worker threads
             # re-binding a captured TraceContext — carries it.
             environ["repro.tenant"] = request.tenant
@@ -515,7 +509,6 @@ class VapApp:
         r.add("GET", "/api/rollups", self.rollups)
         r.add("POST", "/api/rollups/rebuild", self.rollups_rebuild)
         r.add("GET", "/api/kmeans", self.kmeans)
-        r.add("POST", "/api/sql", self.sql)
         r.add(
             "GET", "/api/customers/<int:customer_id>/forecast", self.forecast
         )
@@ -763,7 +756,6 @@ class VapApp:
             "parallel": self._parallel_payload(snapshot),
             "rollup": self._rollup_payload(),
             "jobs": self.jobs.to_record(),
-            "slo": {"slos": self.slo_engine.evaluate()},
             "slow_ops": self.slow_log.records()[: max(top, 0)],
         }
         sink = obs.get_tracer().sink
@@ -1249,19 +1241,6 @@ class VapApp:
             "start_hour": request.session.series.end_hour,
             "values": values,
         }
-
-    def sql(self, request: Request) -> dict:
-        """Ad-hoc SQL over the customers table: ``{"query": "SELECT ..."}``."""
-        from repro.db.sql import SqlError
-
-        body = request.body
-        if not isinstance(body, dict) or not isinstance(body.get("query"), str):
-            raise ApiError(400, 'body must be {"query": "SELECT ..."}')
-        try:
-            rows = request.session.db.sql(body["query"])
-        except SqlError as exc:
-            raise ApiError(400, f"SQL error: {exc}") from exc
-        return {"rows": rows, "count": len(rows)}
 
     def kmeans(self, request: Request) -> dict:
         k = request.param_int("k", 5)

@@ -76,10 +76,6 @@ class MetricsMiddleware:
     logger:
         :class:`~repro.obs.JsonLogger` for the per-request log line; the
         process-wide default when omitted.
-    slo_engine:
-        Optional :class:`~repro.obs.slo.SloEngine`; every finished
-        request is observed against its SLOs (5xx counts as an error)
-        and burn-rate rules are re-checked on its throttled schedule.
     """
 
     def __init__(
@@ -91,7 +87,6 @@ class MetricsMiddleware:
         window_store: obs.TimeWindowStore | None = None,
         slow_log: obs.SlowOpLog | None = None,
         logger: obs.JsonLogger | None = None,
-        slo_engine: obs.SloEngine | None = None,
     ) -> None:
         self.app = app
         self._registry = registry
@@ -100,7 +95,6 @@ class MetricsMiddleware:
         self._window_store = window_store
         self._slow_log = slow_log
         self._logger = logger
-        self.slo_engine = slo_engine
 
     def _resolve_registry(self) -> obs.MetricsRegistry:
         if self._registry is None:
@@ -201,11 +195,6 @@ class MetricsMiddleware:
             if tenant is not None:
                 log_fields["tenant"] = tenant
             self.logger.info("http.request", **log_fields)
-            if self.slo_engine is not None:
-                self.slo_engine.observe(
-                    route, tenant, elapsed, error=int(status) >= 500
-                )
-                self.slo_engine.maybe_check()
         return [body]
 
 

@@ -1,33 +1,20 @@
-"""Alerting: shift-anomaly detection and durable alert delivery.
+"""Alerting: shift-anomaly detection over the live replay.
 
-Two halves:
-
-- :class:`ShiftAlertMonitor` — the detector.  The operational payoff of
-  near-real-time monitoring: notify the planner when the current shift
-  field is abnormally energetic — a mass-mobility event, a district
-  outage, a heat wave hitting cooling load.  It keeps a running
-  mean/variance of per-tick shift energy (Welford's algorithm, O(1)
-  memory) and raises an alert when a tick exceeds
-  ``mean + threshold_sigma * std`` after a warm-up period.
-- Alert *sinks* and the :class:`AlertDispatcher` — the delivery.  Any
-  producer of alert dicts (the shift monitor, the SLO burn-rate engine
-  in :mod:`repro.obs.slo`) hands them to a dispatcher, which fans out to
-  every configured sink with :mod:`repro.resilience` retry per sink.  A
-  sink that stays down after the retries exhausts lands the alert in the
-  dead-letter list instead of being silently lost.
+:class:`ShiftAlertMonitor` is the operational payoff of near-real-time
+monitoring: notify the planner when the current shift field is abnormally
+energetic — a mass-mobility event, a district outage, a heat wave hitting
+cooling load.  It keeps a running mean/variance of per-tick shift energy
+(Welford's algorithm, O(1) memory) and raises an :class:`Alert` when a tick
+exceeds ``mean + threshold_sigma * std`` after a warm-up period.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.resilience.retry import RetryExhausted, RetryPolicy
 from repro.stream.online import ShiftUpdate
 
 
@@ -130,146 +117,3 @@ class ShiftAlertMonitor:
             if alert is not None:
                 fired.append(alert)
         return fired
-
-
-# ----------------------------------------------------------------------
-# delivery: sinks + dispatcher
-# ----------------------------------------------------------------------
-class LogSink:
-    """Delivers alerts as structured warning log records."""
-
-    name = "log"
-
-    def deliver(self, alert: dict) -> None:
-        obs.log_event("alert.delivered", level="warning", **alert)
-
-
-class MemorySink:
-    """Retains delivered alerts in memory (tests, the telemetry API)."""
-
-    name = "memory"
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._alerts: list[dict] = []
-
-    def deliver(self, alert: dict) -> None:
-        with self._lock:
-            self._alerts.append(dict(alert))
-            if len(self._alerts) > self.capacity:
-                del self._alerts[: -self.capacity]
-
-    def alerts(self) -> list[dict]:
-        with self._lock:
-            return [dict(a) for a in self._alerts]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._alerts)
-
-
-class WebhookSink:
-    """POSTs each alert as JSON to an HTTP endpoint.
-
-    Failures surface as :class:`OSError` (urllib's network errors are
-    OSError subclasses), which the dispatcher's retry policy treats as
-    transient.
-    """
-
-    name = "webhook"
-
-    def __init__(self, url: str, timeout: float = 5.0) -> None:
-        self.url = url
-        self.timeout = timeout
-
-    def deliver(self, alert: dict) -> None:
-        body = json.dumps(alert).encode("utf-8")
-        request = urllib.request.Request(
-            self.url,
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout):
-            pass
-
-
-class AlertDispatcher:
-    """Fans alert dicts out to sinks with per-sink retry.
-
-    Each sink gets its own retry loop (default: the stock
-    :class:`~repro.resilience.retry.RetryPolicy` — 4 attempts, full
-    jitter), so one flapping webhook neither blocks nor fails delivery
-    to the others.  Alerts whose retries exhaust land in
-    :attr:`dead_letters` and increment
-    ``alerts_dead_lettered_total{sink=...}``; successes increment
-    ``alerts_delivered_total{sink=...}``.
-    """
-
-    def __init__(
-        self,
-        sinks: list[object] | None = None,
-        retry: RetryPolicy | None = None,
-        metrics: obs.MetricsRegistry | None = None,
-        max_dead_letters: int = 128,
-    ) -> None:
-        self.sinks = list(sinks) if sinks is not None else [LogSink()]
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._metrics = metrics
-        self.max_dead_letters = max_dead_letters
-        self._lock = threading.Lock()
-        self.dead_letters: list[dict] = []
-
-    def _registry(self) -> obs.MetricsRegistry:
-        return self._metrics if self._metrics is not None else obs.get_registry()
-
-    def dispatch(self, alert: dict) -> int:
-        """Deliver one alert to every sink; returns sinks reached.
-
-        Never raises: delivery failure is an operational event (logged,
-        counted, dead-lettered), not an error for the code path that
-        detected the condition being alerted on.
-        """
-        delivered = 0
-        for sink in self.sinks:
-            sink_name = getattr(sink, "name", type(sink).__name__)
-            try:
-                self.retry.call(
-                    lambda s=sink: s.deliver(alert),
-                    site=f"alert.{sink_name}",
-                )
-            except RetryExhausted as exc:
-                self._registry().counter(
-                    "alerts_dead_lettered_total", sink=sink_name
-                ).inc()
-                obs.log_event(
-                    "alert.dead_letter",
-                    level="error",
-                    sink=sink_name,
-                    attempts=exc.attempts,
-                    alert_type=alert.get("type"),
-                )
-                with self._lock:
-                    self.dead_letters.append(
-                        {"sink": sink_name, "alert": dict(alert)}
-                    )
-                    if len(self.dead_letters) > self.max_dead_letters:
-                        del self.dead_letters[: -self.max_dead_letters]
-            except Exception:
-                # Non-retryable sink bug: count it, keep going.
-                self._registry().counter(
-                    "alerts_dead_lettered_total", sink=sink_name
-                ).inc()
-                obs.log_event(
-                    "alert.sink_error",
-                    level="error",
-                    sink=sink_name,
-                    alert_type=alert.get("type"),
-                )
-            else:
-                delivered += 1
-                self._registry().counter(
-                    "alerts_delivered_total", sink=sink_name
-                ).inc()
-        return delivered

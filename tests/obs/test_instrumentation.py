@@ -77,14 +77,15 @@ class TestPipelineInstrumentation:
 class TestDbInstrumentation:
     def test_query_timing_per_op(self, obs_city):
         from repro.db.engine import EnergyDatabase
-        from repro.db.spatial import BBox
+        from repro.db.spatial import BBox, Circle, Point
 
         registry = MetricsRegistry()
         db = EnergyDatabase(obs_city.customers, obs_city.raw, metrics=registry)
         db.demand(HourWindow(0, 24))
         db.ids_in_bbox(BBox(-180, -90, 180, 90))
         db.nearest(obs_city.customers[0].lon, obs_city.customers[0].lat, k=3)
-        db.sql("SELECT count(*) AS n FROM customers")
+        first = obs_city.customers[0]
+        db.ids_in_radius(Circle(Point(first.lon, first.lat), 0.01))
         ops = {
             h["labels"]["op"]: h["count"]
             for h in registry.snapshot()["histograms"]
@@ -94,7 +95,7 @@ class TestDbInstrumentation:
         assert ops["readings"] == 1  # demand slices through readings_for
         assert ops["bbox"] == 1
         assert ops["nearest"] == 1
-        assert ops["sql"] == 1
+        assert ops["radius"] == 1
 
 
 class TestSlowQueryContext:

@@ -283,82 +283,6 @@ class TestIndexProperties:
 
 
 # ---------------------------------------------------------------------------
-# SQL dialect vs query algebra
-# ---------------------------------------------------------------------------
-
-
-class TestSqlProperties:
-    @st.composite
-    @staticmethod
-    def _tables(draw):
-        from repro.db.table import ColumnSpec, Schema, Table
-
-        n = draw(st.integers(1, 30))
-        table = Table(
-            "t",
-            Schema([ColumnSpec("a", "int"), ColumnSpec("b", "float")]),
-        )
-        table.insert_columns(
-            {
-                "a": draw(
-                    npst.arrays(
-                        np.int64, (n,), elements=st.integers(-5, 5)
-                    )
-                ).tolist(),
-                "b": draw(
-                    npst.arrays(
-                        np.float64, (n,), elements=st.floats(-3.0, 3.0,
-                                                             allow_nan=False),
-                    )
-                ).tolist(),
-            }
-        )
-        return table
-
-    @given(
-        _tables(),
-        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-        st.integers(-5, 5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sql_where_matches_algebra(self, table, op, value):
-        from repro.db.query import Compare, Query
-        from repro.db.sql import execute_sql
-
-        sql_rows = execute_sql(
-            {"t": table}, f"SELECT a FROM t WHERE a {op} {value}"
-        )
-        algebra_op = {"=": "=="}.get(op, op)
-        algebra = (
-            Query(table).where(Compare("a", algebra_op, value)).select("a").rows()
-        )
-        assert [r["a"] for r in sql_rows] == [r["a"] for r in algebra]
-
-    @given(_tables(), st.integers(-5, 5), st.integers(-5, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_sql_between_is_closed_interval(self, table, lo, hi):
-        from repro.db.sql import execute_sql
-
-        lo, hi = min(lo, hi), max(lo, hi)
-        rows = execute_sql(
-            {"t": table}, f"SELECT a FROM t WHERE a BETWEEN {lo} AND {hi}"
-        )
-        column = table.column("a")
-        want = [int(v) for v in column if lo <= v <= hi]
-        assert [r["a"] for r in rows] == want
-
-    @given(_tables())
-    @settings(max_examples=30, deadline=None)
-    def test_sql_group_counts_partition_the_table(self, table):
-        from repro.db.sql import execute_sql
-
-        rows = execute_sql(
-            {"t": table}, "SELECT a, count(*) AS n FROM t GROUP BY a"
-        )
-        assert sum(r["n"] for r in rows) == len(table)
-
-
-# ---------------------------------------------------------------------------
 # Procrustes invariance
 # ---------------------------------------------------------------------------
 

@@ -70,15 +70,6 @@ class TestOverHttp:
         assert status == 200
         assert sel["count"] == 4
 
-    def test_sql_over_http(self, http_server):
-        status, data = _post(
-            http_server,
-            "/api/sql",
-            {"query": "SELECT count(*) AS n FROM customers"},
-        )
-        assert status == 200
-        assert data["rows"][0]["n"] > 0
-
     def test_errors_over_http(self, http_server):
         status, data = _get(http_server, "/api/customers/123456789")
         assert status == 404

@@ -48,8 +48,8 @@ class TestNonFiniteFloatParams:
 class TestMalformedContentLength:
     def test_non_numeric_content_length_is_400(self, client):
         response = client.post(
-            "/api/sql",
-            json={"query": "SELECT customer_id FROM customers"},
+            "/api/selection",
+            json={"type": "knn", "x": 0.0, "y": 0.0, "k": 3},
             headers={"Content-Length": "banana"},
         )
         assert response.status == 400
@@ -57,7 +57,7 @@ class TestMalformedContentLength:
 
     def test_valid_content_length_still_works(self, client):
         response = client.post(
-            "/api/sql",
-            json={"query": "SELECT customer_id FROM customers LIMIT 1"},
+            "/api/selection",
+            json={"type": "knn", "x": 0.0, "y": 0.0, "k": 3},
         )
         assert response.status == 200

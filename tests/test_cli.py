@@ -70,36 +70,6 @@ class TestQuality:
         assert "n_suspected_spikes" in out
 
 
-class TestSql:
-    def test_query_runs(self, generated, capsys):
-        code = main(
-            [
-                "sql",
-                str(generated / "customers.csv"),
-                "SELECT zone, count(*) AS n FROM customers GROUP BY zone",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "zone\tn" in out
-
-    def test_bad_sql_is_exit_code_1(self, generated, capsys):
-        code = main(["sql", str(generated / "customers.csv"), "DELETE FROM x"])
-        assert code == 1
-        assert "SQL error" in capsys.readouterr().err
-
-    def test_no_rows(self, generated, capsys):
-        code = main(
-            [
-                "sql",
-                str(generated / "customers.csv"),
-                "SELECT customer_id FROM customers WHERE lon > 999",
-            ]
-        )
-        assert code == 0
-        assert "(no rows)" in capsys.readouterr().out
-
-
 class TestStats:
     def test_pretty_output_has_counters_and_histograms(self, capsys):
         code = main(["stats", "--customers", "20", "--days", "7"])

@@ -1,8 +1,8 @@
 """Documentation consistency guards.
 
-DESIGN.md's experiment index and README's example list are contracts;
-these tests fail when a referenced bench, example or document drifts away
-from the actual tree.
+DESIGN.md's experiment index and route census and README's example list
+are contracts; these tests fail when a referenced bench, route, example or
+document drifts away from the actual tree.
 """
 
 import re
@@ -29,6 +29,21 @@ class TestDesignDoc:
         on_disk = {p.name for p in (ROOT / "benchmarks").glob("test_bench_*.py")}
         indexed = set(re.findall(r"benchmarks/(test_bench_\w+\.py)", text))
         assert on_disk == indexed
+
+
+class TestRouteCensus:
+    def test_census_rows_equal_registered_routes(self, small_session, tmp_path):
+        """A route added without a census row fails, and so does a stale row."""
+        from repro.server import VapApp
+
+        text = (ROOT / "DESIGN.md").read_text()
+        section = text.split("### Route census", 1)[1].split("\n## ", 1)[0]
+        rows = set(
+            re.findall(r"^\| `(GET|POST|PUT|DELETE) (/\S+)` \|", section, re.M)
+        )
+        app = VapApp(small_session, jobs_root=str(tmp_path))
+        registered = {(route.method, route.path) for route in app.router._routes}
+        assert rows == registered
 
 
 class TestReadme:

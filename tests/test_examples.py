@@ -71,11 +71,6 @@ class TestExamples:
         assert "EV adoption" in out
         assert "target order" in out
 
-    def test_sql_explorer(self, in_tmp_dir, capsys):
-        out = _run("sql_explorer.py", capsys)
-        assert "SELECT zone" in out
-        assert "POST /api/sql" in out
-
     def test_every_example_is_covered(self):
         """Adding an example without a smoke test fails this meta-check."""
         scripts = {p.name for p in EXAMPLES_DIR.glob("*.py")}
@@ -87,6 +82,5 @@ class TestExamples:
             "forecasting.py",
             "anomaly_audit.py",
             "demand_response.py",
-            "sql_explorer.py",
         }
         assert scripts == covered
